@@ -115,9 +115,6 @@ class DmaEngine : public SimObject
     /** Cycles one configuration costs. */
     unsigned configCycles() const { return configCycles_; }
 
-    /** Fraction of wall-clock the datapath was busy. */
-    double utilization() const { return pipe_->utilization(); }
-
     /** Duty-cycle style busy ratio within a window, for the LPME. */
     double totalBytes() const { return pipe_->totalBytes(); }
 

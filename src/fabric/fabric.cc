@@ -51,30 +51,10 @@ FabricConfig::validate() const
 }
 
 Link::Link(std::string name, double gbps)
-    : name_(std::move(name)), gbps_(gbps), bytesPerSecond_(gbps * 1e9)
+    : name_(std::move(name)), gbps_(gbps), ledger_(gbps * 1e9)
 {
     fatalIf(gbps <= 0.0 || !std::isfinite(gbps), "bandwidth of fabric link '",
             name_, "' must be positive (got ", gbps, " GB/s)");
-}
-
-double
-Link::bucketBytes() const
-{
-    return bytesPerSecond_ * ticksToSeconds(bucketTicks_);
-}
-
-double &
-Link::usedAt(std::uint64_t idx)
-{
-    std::uint64_t page_no = idx / kPageBuckets;
-    if (page_no != cachedPageNo_) {
-        std::unique_ptr<Page> &page = pages_[page_no];
-        if (!page)
-            page = std::make_unique<Page>();
-        cachedPageNo_ = page_no;
-        cachedPage_ = page.get();
-    }
-    return (*cachedPage_)[idx % kPageBuckets];
 }
 
 Tick
@@ -82,47 +62,11 @@ Link::transferAt(Tick at, std::uint64_t bytes)
 {
     bytesMoved_ += static_cast<double>(bytes);
     ++transfers_;
+    Tick done = ledger_.book(at, bytes);
     if (bytes == 0)
-        return at;
-
-    // Walk the capacity ledger from the start bucket, consuming idle
-    // capacity until all bytes are scheduled. A transfer submitted near
-    // maxTick saturates ("never completes") instead of wrapping.
-    const std::uint64_t max_bucket = maxTick / bucketTicks_;
-    const double cap = bucketBytes();
-    double remaining = static_cast<double>(bytes);
-    std::uint64_t idx = at / bucketTicks_;
-    double first_frac =
-        1.0 - static_cast<double>(at - idx * bucketTicks_) /
-                  static_cast<double>(bucketTicks_);
-    Tick done = at;
-    while (remaining > 0.0) {
-        if (idx >= max_bucket) {
-            done = maxTick;
-            break;
-        }
-        double bucket_cap = cap * (idx == at / bucketTicks_ ? first_frac
-                                                            : 1.0);
-        double &used = usedAt(idx);
-        double avail = bucket_cap - used;
-        if (avail > 1e-12) {
-            double take = std::min(avail, remaining);
-            used += take;
-            remaining -= take;
-            double filled_frac = used / cap;
-            done = saturatingAddTicks(
-                idx * bucketTicks_,
-                static_cast<Tick>(filled_frac *
-                                      static_cast<double>(bucketTicks_) +
-                                  0.5));
-        }
-        if (remaining > 0.0)
-            ++idx;
-    }
-    done = std::max(done, at);
-    freeAt_ = std::max(freeAt_, done);
+        return done;
     Tick pure = secondsToTicks(static_cast<double>(bytes) /
-                               bytesPerSecond_);
+                               ledger_.bytesPerSecond());
     Tick unqueued = saturatingAddTicks(at, pure);
     if (done > unqueued)
         waitTicks_ = saturatingAddTicks(waitTicks_, done - unqueued);
@@ -132,10 +76,10 @@ Link::transferAt(Tick at, std::uint64_t bytes)
 double
 Link::utilizationAt(Tick now) const
 {
-    Tick horizon = std::max(now, freeAt_);
+    Tick horizon = std::max(now, freeAt());
     if (horizon == 0)
         return 0.0;
-    double capacity = bytesPerSecond_ * ticksToSeconds(horizon);
+    double capacity = ledger_.bytesPerSecond() * ticksToSeconds(horizon);
     return capacity > 0.0 ? std::min(1.0, bytesMoved_ / capacity) : 0.0;
 }
 

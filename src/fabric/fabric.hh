@@ -3,8 +3,8 @@
  * Simulated multi-chip interconnect fabric.
  *
  * The fleet's devices talk to the host and to each other over PCIe-class
- * links modelled as first-class discrete-event resources: every link is a
- * paged capacity ledger (same algorithm as mem/bandwidth) with a fixed
+ * links modelled as first-class discrete-event resources: every link books
+ * its traffic on a CapacityLedger (the one mem/bandwidth uses) at a fixed
  * byte rate plus a per-hop propagation latency, so concurrent transfers
  * on a shared link contend instead of each enjoying full bandwidth.
  *
@@ -32,13 +32,12 @@
 #ifndef DTU_FABRIC_FABRIC_HH
 #define DTU_FABRIC_FABRIC_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/capacity_ledger.hh"
 #include "sim/ticks.hh"
 
 namespace dtu
@@ -84,13 +83,11 @@ struct FabricConfig
 };
 
 /**
- * One interconnect link: a standalone paged capacity ledger.
+ * One interconnect link: a CapacityLedger plus per-link stats.
  *
- * Same fair-sharing algorithm as BandwidthResource — time is divided
- * into fixed buckets holding rate x width bytes each, and a transfer
- * starting at tick t consumes idle capacity from bucket(t) forward —
- * but with no SimObject/EventQueue dependency, because fabric links
- * are fleet-level resources that outlive any single device timeline.
+ * Same fair-sharing ledger as BandwidthResource, but with no
+ * SimObject/EventQueue dependency, because fabric links are
+ * fleet-level resources that outlive any single device timeline.
  * All completion arithmetic saturates at maxTick instead of wrapping.
  */
 class Link
@@ -110,7 +107,7 @@ class Link
     double gbps() const { return gbps_; }
 
     /** Tick at which the link next becomes idle. */
-    Tick freeAt() const { return freeAt_; }
+    Tick freeAt() const { return ledger_.freeAt(); }
 
     double totalBytes() const { return bytesMoved_; }
     std::uint64_t transfers() const { return transfers_; }
@@ -122,20 +119,9 @@ class Link
     double utilizationAt(Tick now) const;
 
   private:
-    double bucketBytes() const;
-
-    static constexpr std::uint64_t kPageBuckets = 4096;
-    using Page = std::array<double, kPageBuckets>;
-    double &usedAt(std::uint64_t idx);
-
     std::string name_;
     double gbps_;
-    double bytesPerSecond_;
-    Tick bucketTicks_ = 50'000; // 50 ns
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
-    std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
-    Page *cachedPage_ = nullptr;
-    Tick freeAt_ = 0;
+    CapacityLedger ledger_;
     double bytesMoved_ = 0.0;
     std::uint64_t transfers_ = 0;
     Tick waitTicks_ = 0;

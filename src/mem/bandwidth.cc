@@ -1,8 +1,5 @@
 #include "mem/bandwidth.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "sim/logging.hh"
 
 namespace dtu
@@ -13,7 +10,7 @@ BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
                                      double bytes_per_second,
                                      Tick access_latency)
     : SimObject(std::move(name), queue, stats),
-      bytesPerSecond_(bytes_per_second), accessLatency_(access_latency)
+      ledger_(bytes_per_second), accessLatency_(access_latency)
 {
     fatalIf(bytes_per_second <= 0.0, "bandwidth of '", this->name(),
             "' must be positive");
@@ -27,31 +24,11 @@ BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
     }
 }
 
-double
-BandwidthResource::bucketBytes() const
-{
-    return bytesPerSecond_ * ticksToSeconds(bucketTicks_);
-}
-
-double &
-BandwidthResource::usedAt(std::uint64_t idx)
-{
-    std::uint64_t page_no = idx / kPageBuckets;
-    if (page_no != cachedPageNo_) {
-        std::unique_ptr<Page> &page = pages_[page_no];
-        if (!page)
-            page = std::make_unique<Page>();
-        cachedPageNo_ = page_no;
-        cachedPage_ = page.get();
-    }
-    return (*cachedPage_)[idx % kPageBuckets];
-}
-
 Tick
 BandwidthResource::serviceTime(std::uint64_t bytes) const
 {
     double ticks = static_cast<double>(bytes) *
-                   static_cast<double>(ticksPerSecond) / bytesPerSecond_;
+                   static_cast<double>(ticksPerSecond) / bytesPerSecond();
     return accessLatency_ + static_cast<Tick>(ticks + 0.5);
 }
 
@@ -67,67 +44,14 @@ BandwidthResource::transferAt(Tick at, std::uint64_t bytes)
     panicIf(at < curTick(), "transferAt in the past on '", name(), "'");
     bytesMoved_ += static_cast<double>(bytes);
     ++transfers_;
+    Tick done = ledger_.book(at, bytes);
     if (bytes == 0)
-        return at + accessLatency_;
-
-    // Walk the capacity ledger from the start bucket, consuming idle
-    // capacity until all bytes are scheduled.
-    const double cap = bucketBytes();
-    double remaining = static_cast<double>(bytes);
-    std::uint64_t idx = at / bucketTicks_;
-    // Within the first bucket only the fraction after `at` is usable.
-    double first_frac =
-        1.0 - static_cast<double>(at - idx * bucketTicks_) /
-                  static_cast<double>(bucketTicks_);
-    Tick done = at;
-    while (remaining > 0.0) {
-        double bucket_cap = cap * (idx == at / bucketTicks_ ? first_frac
-                                                            : 1.0);
-        double &used = usedAt(idx);
-        double avail = bucket_cap - used;
-        if (avail > 1e-12) {
-            double take = std::min(avail, remaining);
-            used += take;
-            remaining -= take;
-            // Completion: position within this bucket where the last
-            // byte lands (buckets drain front-to-back).
-            double filled_frac = used / cap;
-            done = idx * bucketTicks_ +
-                   static_cast<Tick>(filled_frac *
-                                         static_cast<double>(bucketTicks_) +
-                                     0.5);
-        }
-        if (remaining > 0.0)
-            ++idx;
-    }
-    done = std::max(done, at);
-    busyBytes_ += static_cast<double>(bytes);
-    freeAt_ = std::max(freeAt_, done);
-    Tick completion = done + accessLatency_;
-    Tick pure = serviceTime(bytes);
-    if (completion > at + pure)
-        waitTicks_ += static_cast<double>(completion - at - pure);
+        return saturatingAddTicks(at, accessLatency_);
+    Tick completion = saturatingAddTicks(done, accessLatency_);
+    Tick unqueued = saturatingAddTicks(at, serviceTime(bytes));
+    if (completion > unqueued)
+        waitTicks_ += static_cast<double>(completion - unqueued);
     return completion;
-}
-
-void
-BandwidthResource::setBytesPerSecond(double bytes_per_second)
-{
-    fatalIf(bytes_per_second <= 0.0, "bandwidth of '", name(),
-            "' must be positive");
-    bytesPerSecond_ = bytes_per_second;
-}
-
-double
-BandwidthResource::utilization() const
-{
-    Tick now = std::max(curTick(), freeAt_);
-    if (now == 0)
-        return 0.0;
-    double capacity_bytes = bytesPerSecond_ * ticksToSeconds(now);
-    return capacity_bytes > 0.0 ? std::min(1.0, busyBytes_ /
-                                                    capacity_bytes)
-                                : 0.0;
 }
 
 } // namespace dtu

@@ -13,11 +13,9 @@
 #ifndef DTU_MEM_BANDWIDTH_HH
 #define DTU_MEM_BANDWIDTH_HH
 
-#include <array>
-#include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "mem/capacity_ledger.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -28,14 +26,9 @@ namespace dtu
 /**
  * A capacity-ledger pipe with fixed bandwidth and per-access latency.
  *
- * Time is divided into fixed buckets; each bucket holds rate x
- * bucket-width bytes of capacity. A request starting at tick t
- * consumes capacity from bucket(t) forward and completes when its
- * last byte is scheduled. Requests submitted out of simulation order
- * (sequential co-simulation of concurrent tenants) therefore share
- * capacity fairly: a later-submitted request for an earlier tick
- * uses whatever capacity was still idle then, instead of queueing
- * behind traffic that already finished.
+ * Traffic is booked on a CapacityLedger (see mem/capacity_ledger.hh),
+ * so requests submitted out of simulation order share capacity
+ * fairly; this class adds the access latency and the stats.
  */
 class BandwidthResource : public SimObject
 {
@@ -66,13 +59,10 @@ class BandwidthResource : public SimObject
     Tick transferAt(Tick at, std::uint64_t bytes);
 
     /** Tick at which the pipe next becomes idle. */
-    Tick freeAt() const { return freeAt_; }
+    Tick freeAt() const { return ledger_.freeAt(); }
 
     /** Configured bandwidth in bytes/second. */
-    double bytesPerSecond() const { return bytesPerSecond_; }
-
-    /** Change the bandwidth (used by DVFS on core-side ports). */
-    void setBytesPerSecond(double bytes_per_second);
+    double bytesPerSecond() const { return ledger_.bytesPerSecond(); }
 
     /** Pure service time for @p bytes with no queueing (ticks). */
     Tick serviceTime(std::uint64_t bytes) const;
@@ -83,40 +73,9 @@ class BandwidthResource : public SimObject
     /** Total ticks requests spent waiting behind earlier traffic. */
     double totalWait() const { return waitTicks_.value(); }
 
-    /** Busy time as a fraction of [0, now]. */
-    double utilization() const;
-
   private:
-    /** Capacity of one ledger bucket in bytes. */
-    double bucketBytes() const;
-
-    /** Buckets per ledger page. */
-    static constexpr std::uint64_t kPageBuckets = 4096;
-
-    /** One contiguous run of bucket occupancies, zero-initialized. */
-    using Page = std::array<double, kPageBuckets>;
-
-    /** The "bytes already scheduled" slot for bucket @p idx. */
-    double &usedAt(std::uint64_t idx);
-
-    double bytesPerSecond_;
+    CapacityLedger ledger_;
     Tick accessLatency_;
-    /** Ledger bucket width. */
-    Tick bucketTicks_ = 50'000; // 50 ns
-    /**
-     * Bytes already scheduled per bucket index, stored as paged flat
-     * arrays: transfers walk consecutive buckets, so nearly every
-     * lookup hits the cached last page instead of hashing (the
-     * per-bucket unordered_map this replaces dominated serving-run
-     * profiles). Values and arithmetic are unchanged — results stay
-     * bit-identical.
-     */
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
-    /** Last page touched (page number + slots), the fast path. */
-    std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
-    Page *cachedPage_ = nullptr;
-    Tick freeAt_ = 0;
-    double busyBytes_ = 0.0;
 
     Stat bytesMoved_;
     Stat transfers_;

@@ -1,0 +1,114 @@
+#include "mem/capacity_ledger.hh"
+
+#include <algorithm>
+#include <bit>
+
+namespace dtu
+{
+
+namespace
+{
+
+/** A bucket with no more than this many bytes left is saturated. */
+constexpr double kMinAvail = 1e-12;
+
+/** Buckets from here on would complete past maxTick. */
+constexpr std::uint64_t kMaxBucket = maxTick / CapacityLedger::kBucketTicks;
+
+} // namespace
+
+Tick
+CapacityLedger::book(Tick at, std::uint64_t bytes)
+{
+    if (bytes == 0)
+        return at;
+    double remaining = static_cast<double>(bytes);
+    const std::uint64_t first = at / kBucketTicks;
+    // Within the first bucket only the fraction after `at` is usable.
+    const double first_frac =
+        1.0 - static_cast<double>(at - first * kBucketTicks) /
+                  static_cast<double>(kBucketTicks);
+    Tick done = at;
+    std::uint64_t idx = first;
+    while (remaining > 0.0) {
+        if (idx >= kMaxBucket) {
+            done = maxTick;
+            break;
+        }
+        if (idx / kPageBuckets != cachedPageNo_) {
+            cachedPageNo_ = idx / kPageBuckets;
+            cachedPage_ = &pages_[cachedPageNo_];
+        }
+        Page &page = *cachedPage_;
+        const auto slot = static_cast<std::uint16_t>(idx % kPageBuckets);
+        std::uint64_t &saturated = page.saturated[slot / 64];
+        std::uint64_t &occupied = page.occupied[slot / 64];
+        const unsigned shift = slot % 64;
+
+        // Saturated buckets take nothing: skip them a word at a time.
+        const std::uint64_t open = ~saturated >> shift;
+        if (!(open & 1)) {
+            idx += open ? std::countr_zero(open) : 64 - shift;
+            continue;
+        }
+
+        // The first bucket and a partial one are booked alone, an empty
+        // run up to the next occupied bucket (or word end) at once.
+        const std::uint64_t ahead = occupied >> shift;
+        std::pair<std::uint16_t, double> *partial = nullptr;
+        if (ahead & 1)
+            partial = &*std::find_if(
+                page.partials.rbegin(), page.partials.rend(),
+                [slot](const auto &p) { return p.first == slot; });
+        const std::uint64_t run =
+            idx == first || partial
+                ? 1
+                : std::min<std::uint64_t>(
+                      ahead ? std::countr_zero(ahead) : 64 - shift,
+                      kMaxBucket - idx);
+        double used = partial ? partial->second : 0.0;
+        const double avail = cap_ * (idx == first ? first_frac : 1.0) - used;
+        if (!(avail > kMinAvail)) {
+            ++idx;
+            continue;
+        }
+        // Every bucket of the run but the last takes a whole cap_. The
+        // loop repeats the per-bucket subtraction so `remaining` rounds
+        // exactly as a bucket-by-bucket walk would.
+        std::uint64_t n = 1;
+        for (; n < run && remaining > cap_; ++n)
+            remaining -= cap_;
+        const double take = std::min(avail, remaining);
+        used += take;
+        remaining -= take;
+
+        const std::uint64_t last = std::uint64_t{1} << (shift + n - 1);
+        occupied |= (last << 1) - (std::uint64_t{1} << shift);
+        saturated |= last - (std::uint64_t{1} << shift);
+        if (cap_ - used > kMinAvail) {
+            if (partial)
+                partial->second = used;
+            else
+                page.partials.emplace_back(slot + n - 1, used);
+        } else {
+            saturated |= last;
+            if (partial) {
+                *partial = page.partials.back();
+                page.partials.pop_back();
+            }
+        }
+        // Buckets drain front-to-back: the last byte lands at the
+        // filled fraction of the last bucket.
+        idx += n;
+        done = saturatingAddTicks(
+            (idx - 1) * kBucketTicks,
+            static_cast<Tick>(used / cap_ *
+                                  static_cast<double>(kBucketTicks) +
+                              0.5));
+    }
+    done = std::max(done, at);
+    freeAt_ = std::max(freeAt_, done);
+    return done;
+}
+
+} // namespace dtu

@@ -69,13 +69,4 @@ Hbm::totalBytes() const
     return total;
 }
 
-double
-Hbm::utilization() const
-{
-    double total = 0.0;
-    for (const auto &ch : channels_)
-        total += ch->utilization();
-    return total / numChannels();
-}
-
 } // namespace dtu

@@ -60,9 +60,6 @@ class Hbm : public SimObject
     /** Aggregate bytes moved. */
     double totalBytes() const;
 
-    /** Mean utilization across channels. */
-    double utilization() const;
-
     /**
      * Attach (or detach, with nullptr) the chip fault injector: every
      * access then draws its ECC outcome, and correctable errors

@@ -60,6 +60,18 @@ TEST(Bandwidth, FutureTransfersDoNotQueueBehindNothing)
     EXPECT_EQ(done, 6'000'000u);
 }
 
+TEST(Bandwidth, CompletionSaturatesNearMaxTick)
+{
+    MemHarness h;
+    BandwidthResource pipe("edge", h.queue, &h.stats, 1e9, 1000);
+    // 1 GiB at 1 GB/s needs ~1 s; with 10 us of headroom left the
+    // transfer must clamp to maxTick instead of wrapping to "done in
+    // 1 ns".
+    const Tick done = pipe.transferAt(maxTick - 10'000'000, 1ull << 30);
+    EXPECT_EQ(done, maxTick);
+    EXPECT_EQ(pipe.freeAt(), maxTick);
+}
+
 TEST(Bandwidth, RejectsNonPositiveRate)
 {
     MemHarness h;

@@ -3,8 +3,9 @@
  * Cross-cutting property tests: functional VMM against a host
  * reference over every (dtype, rows) pattern, sparse-codec and DMA
  * monotonicity, bandwidth-ledger conservation under out-of-order
- * arrival, executor scaling laws, and the calendar event queue
- * against a sorted-vector reference model.
+ * arrival, executor scaling laws, the calendar event queue
+ * against a sorted-vector reference model, and the capacity ledger
+ * against the per-bucket walk it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -12,18 +13,54 @@
 #include "sim/logging.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <unordered_map>
 
 #include "compiler/lowering.hh"
 #include "core/matrix_engine.hh"
 #include "dma/dma_engine.hh"
 #include "dma/sparse_codec.hh"
+#include "fabric/fabric.hh"
+#include "mem/bandwidth.hh"
+#include "mem/capacity_ledger.hh"
 #include "models/model_zoo.hh"
 #include "runtime/executor.hh"
 #include "serve/arrival.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
+
+namespace dtu
+{
+
+/** Reads a CapacityLedger's buckets back, as its reference model sees them. */
+struct CapacityLedgerProbe
+{
+    /** Bytes booked in @p bucket; +inf for a saturated bucket. */
+    static double
+    booked(const CapacityLedger &ledger, std::uint64_t bucket)
+    {
+        const auto it =
+            ledger.pages_.find(bucket / CapacityLedger::kPageBuckets);
+        if (it == ledger.pages_.end())
+            return 0.0;
+        const CapacityLedger::Page &page = it->second;
+        const std::uint64_t slot = bucket % CapacityLedger::kPageBuckets;
+        const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+        if (page.saturated[slot / 64] & bit)
+            return std::numeric_limits<double>::infinity();
+        if (!(page.occupied[slot / 64] & bit))
+            return 0.0;
+        for (const auto &[partial_slot, used] : page.partials)
+            if (partial_slot == slot)
+                return used;
+        return std::numeric_limits<double>::quiet_NaN(); // lost partial
+    }
+};
+
+} // namespace dtu
 
 namespace
 {
@@ -556,6 +593,247 @@ TEST(EventQueueProperty, DestroyingScheduledEventRemovesItSafely)
     q.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.now(), 20u);
+}
+
+//
+// The capacity ledger against the per-bucket walk it replaced.
+//
+// CapacityLedger skips saturated buckets a word at a time and stores
+// only partial buckets, but must book every transfer exactly as the
+// original dense, one-bucket-at-a-time ledger did: same completion
+// tick, same freeAt, same wait ticks, with no tolerance.
+//
+
+/**
+ * The original ledger, kept as the reference model: dense pages of
+ * per-bucket byte counts and the walk verbatim, plus the wait
+ * accounting of both of its callers.
+ */
+struct RefLedger
+{
+    static constexpr std::uint64_t kPageBuckets = 4096;
+    using Page = std::array<double, kPageBuckets>;
+
+    explicit RefLedger(double bytes_per_second)
+        : bytesPerSecond_(bytes_per_second)
+    {}
+
+    double
+    bucketBytes() const
+    {
+        return bytesPerSecond_ * ticksToSeconds(bucketTicks_);
+    }
+
+    double &
+    usedAt(std::uint64_t idx)
+    {
+        std::uint64_t page_no = idx / kPageBuckets;
+        if (page_no != cachedPageNo_) {
+            std::unique_ptr<Page> &page = pages_[page_no];
+            if (!page)
+                page = std::make_unique<Page>();
+            cachedPageNo_ = page_no;
+            cachedPage_ = page.get();
+        }
+        return (*cachedPage_)[idx % kPageBuckets];
+    }
+
+    /** The walk: the tick the last byte lands, as the ledger returns. */
+    Tick
+    book(Tick at, std::uint64_t bytes)
+    {
+        if (bytes == 0)
+            return at;
+        const std::uint64_t max_bucket = maxTick / bucketTicks_;
+        const double cap = bucketBytes();
+        double remaining = static_cast<double>(bytes);
+        std::uint64_t idx = at / bucketTicks_;
+        double first_frac =
+            1.0 - static_cast<double>(at - idx * bucketTicks_) /
+                      static_cast<double>(bucketTicks_);
+        Tick done = at;
+        while (remaining > 0.0) {
+            if (idx >= max_bucket) {
+                done = maxTick;
+                break;
+            }
+            double bucket_cap = cap * (idx == at / bucketTicks_ ? first_frac
+                                                                : 1.0);
+            double &used = usedAt(idx);
+            double avail = bucket_cap - used;
+            if (avail > 1e-12) {
+                double take = std::min(avail, remaining);
+                used += take;
+                remaining -= take;
+                double filled_frac = used / cap;
+                done = saturatingAddTicks(
+                    idx * bucketTicks_,
+                    static_cast<Tick>(filled_frac *
+                                          static_cast<double>(bucketTicks_) +
+                                      0.5));
+            }
+            if (remaining > 0.0)
+                ++idx;
+        }
+        done = std::max(done, at);
+        freeAt_ = std::max(freeAt_, done);
+        return done;
+    }
+
+    /** fabric::Link's accounting around the walk. */
+    Tick
+    linkTransferAt(Tick at, std::uint64_t bytes)
+    {
+        Tick done = book(at, bytes);
+        if (bytes == 0)
+            return done;
+        Tick pure = secondsToTicks(static_cast<double>(bytes) /
+                                   bytesPerSecond_);
+        Tick unqueued = saturatingAddTicks(at, pure);
+        if (done > unqueued)
+            linkWait_ = saturatingAddTicks(linkWait_, done - unqueued);
+        return done;
+    }
+
+    /** BandwidthResource's accounting, given the walk's result. */
+    Tick
+    pipeCompletion(Tick at, std::uint64_t bytes, Tick done, Tick latency)
+    {
+        if (bytes == 0)
+            return at + latency;
+        Tick completion = done + latency;
+        double ticks = static_cast<double>(bytes) *
+                       static_cast<double>(ticksPerSecond) / bytesPerSecond_;
+        Tick pure = latency + static_cast<Tick>(ticks + 0.5);
+        if (completion > at + pure)
+            pipeWait_ += static_cast<double>(completion - at - pure);
+        return completion;
+    }
+
+    double bytesPerSecond_;
+    Tick bucketTicks_ = 50'000; // 50 ns
+    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+    std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
+    Page *cachedPage_ = nullptr;
+    Tick freeAt_ = 0;
+    Tick linkWait_ = 0;
+    double pipeWait_ = 0.0;
+};
+
+TEST(CapacityLedgerProperty, RandomOutOfOrderTransfersMatchPerBucketWalk)
+{
+    constexpr Tick kBucket = CapacityLedger::kBucketTicks;
+    constexpr Tick kPage = RefLedger::kPageBuckets * kBucket;
+    constexpr Tick kLatency = 1'500;
+    // An i20 L2 port (64 B/cycle at 1.3 GHz), one of eight HBM2E
+    // channels (819 GB/s total), a 32 GB/s fabric link, and an uneven
+    // rate: the first three hold a dyadic number of bytes per bucket,
+    // so subtracting whole buckets is exact; 100/3 GB/s is not, so the
+    // walk's per-bucket rounding must be replayed step by step.
+    for (double gbps : {83.2, 819.0 / 8, 32.0, 100.0 / 3}) {
+        for (std::uint64_t seed : {1u, 7u, 42u}) {
+            SCOPED_TRACE(testing::Message()
+                         << gbps << " GB/s, seed " << seed);
+            const double bps = gbps * 1e9;
+            RefLedger ref(bps);
+            CapacityLedger ledger(bps);
+            fabric::Link link("prop.link", gbps);
+            EventQueue queue;
+            StatRegistry stats;
+            BandwidthResource pipe("prop.pipe", queue, &stats, bps,
+                                   kLatency);
+            const double cap = ref.bucketBytes();
+            std::uint64_t transfers = 0;
+            auto check = [&](Tick at, std::uint64_t bytes) {
+                ++transfers;
+                const Tick done = ref.linkTransferAt(at, bytes);
+                EXPECT_EQ(ledger.book(at, bytes), done)
+                    << "at " << at << " bytes " << bytes;
+                EXPECT_EQ(link.transferAt(at, bytes), done)
+                    << "at " << at << " bytes " << bytes;
+                EXPECT_EQ(pipe.transferAt(at, bytes),
+                          ref.pipeCompletion(at, bytes, done, kLatency))
+                    << "at " << at << " bytes " << bytes;
+                EXPECT_EQ(ledger.freeAt(), ref.freeAt_);
+                EXPECT_EQ(link.freeAt(), ref.freeAt_);
+                EXPECT_EQ(pipe.freeAt(), ref.freeAt_);
+            };
+            auto bucketsOf = [&](double n) {
+                return static_cast<std::uint64_t>(n * cap);
+            };
+
+            // Directed edges first. A mid-page start whose empty run
+            // ends exactly at the page edge, against an occupied first
+            // bucket of the next page:
+            check(kPage, 10);
+            check(kPage - 3 * kBucket - 7, bucketsOf(2.5));
+            check(kPage - 70 * kBucket + 123, bucketsOf(80.25));
+            // ...a saturated run of 200 buckets walked from inside:
+            check(0, bucketsOf(200));
+            check(5 * kBucket + 17'000, 99);
+            check(0, 1);
+            // ...one transfer spanning three whole pages.
+            check(2 * kPage + 1, bucketsOf(3.5 * RefLedger::kPageBuckets));
+            ASSERT_FALSE(HasFailure());
+
+            // Then random out-of-order traffic behind a window that
+            // advances ~30 buckets per transfer, at ~0.6 offered load.
+            Random rng(seed);
+            Tick window = 6 * kPage;
+            for (unsigned i = 0; i < 100'000; ++i) {
+                window += rng.below(60 * kBucket);
+                Tick at = window + rng.below(64 * kBucket);
+                const double where = rng.uniform();
+                if (where < 0.15)
+                    at -= at % kBucket; // bucket-aligned
+                else if (where < 0.20)
+                    at += kPage - at % kPage; // page-aligned
+                else if (where < 0.30)
+                    at = window - rng.below(300 * kBucket); // behind
+                else if (where < 0.40)
+                    at = window + rng.below(kPage); // far ahead
+
+                const double size = rng.uniform();
+                std::uint64_t bytes;
+                if (size < 0.05)
+                    bytes = 0;
+                else if (size < 0.65)
+                    bytes = 1 + rng.below(bucketsOf(1));
+                else if (size < 0.90)
+                    bytes = 1 + rng.below(bucketsOf(64));
+                else if (size < 0.99995)
+                    bytes = 1 + rng.below(bucketsOf(150));
+                else // several pages
+                    bytes = bucketsOf(RefLedger::kPageBuckets *
+                                      rng.uniform(1.0, 3.0));
+                check(at, bytes);
+                if (HasFailure())
+                    return;
+            }
+            // Bucket for bucket, the compact ledger holds what the dense
+            // one does: the same exact bytes in every partial bucket.
+            std::uint64_t mismatched = 0;
+            for (const auto &[page_no, page] : ref.pages_) {
+                for (std::uint64_t slot = 0; slot < RefLedger::kPageBuckets;
+                     ++slot) {
+                    const double used = (*page)[slot];
+                    const double expect =
+                        cap - used > 1e-12
+                            ? used
+                            : std::numeric_limits<double>::infinity();
+                    const std::uint64_t bucket =
+                        page_no * RefLedger::kPageBuckets + slot;
+                    if (CapacityLedgerProbe::booked(ledger, bucket) != expect)
+                        ++mismatched;
+                }
+            }
+            EXPECT_EQ(mismatched, 0u);
+            EXPECT_EQ(link.totalWaitTicks(), ref.linkWait_);
+            EXPECT_EQ(pipe.totalWait(), ref.pipeWait_);
+            EXPECT_GT(ref.linkWait_, 0u);
+            EXPECT_EQ(transfers, 100'007u);
+        }
+    }
 }
 
 } // namespace
