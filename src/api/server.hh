@@ -20,7 +20,9 @@
  *
  * The Server shares the device's ResourceManager with any live
  * Streams: streams keep their leases, the batcher works in whatever
- * capacity remains.
+ * capacity remains. A served chip's timeline only moves forward:
+ * stream work issued after a serve, from an earlier cursor, waits for
+ * the point the serve reached (EventQueue::ledgerWatermark()).
  */
 
 #ifndef DTU_API_SERVER_HH
@@ -71,7 +73,10 @@ class ServingFrontend
     /**
      * Drain everything submitted so far and return the aggregated
      * serving report (the fleet facade aggregates across devices).
-     * Subsequent submits start a fresh trace.
+     * Subsequent submits start a fresh trace. A trace that starts
+     * before the point an earlier serve reached restarts the chips'
+     * contention timelines idle from tick 0: every earlier booking,
+     * served or streamed, stops contending with it.
      */
     virtual const serve::ServingReport &serve() = 0;
 

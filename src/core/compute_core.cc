@@ -21,9 +21,8 @@ ComputeCore::ComputeCore(std::string name, EventQueue &queue,
                          CoreConfig config, InstructionCache *icache,
                          SyncEngine *sync, DmaEngine *dma)
     : SimObject(std::move(name), queue, stats), clock_(clock),
-      config_(config), regs_(config.regs), matrix_(!config.dtu2),
-      spu_(), icache_(icache), sync_(sync), dma_(dma),
-      l1Data_(config.l1Bytes / 4, 0.0)
+      config_(config), matrix_(!config.dtu2), icache_(icache),
+      sync_(sync), dma_(dma)
 {
     if (stats) {
         statPackets_.init(*stats, this->name() + ".packets",
@@ -47,17 +46,28 @@ ComputeCore::ComputeCore(std::string name, EventQueue &queue,
     }
 }
 
+RegisterFile &
+ComputeCore::materialize()
+{
+    if (!regs_) {
+        regs_ = std::make_unique<RegisterFile>(config_.regs);
+        l1Data_.assign(config_.l1Bytes / 4, 0.0);
+    }
+    return *regs_;
+}
+
 double
 ComputeCore::l1Word(std::uint64_t index) const
 {
-    panicIf(index >= l1Data_.size(), "L1 word index out of range");
-    return l1Data_[index];
+    panicIf(index >= config_.l1Bytes / 4, "L1 word index out of range");
+    return l1Data_.empty() ? 0.0 : l1Data_[index];
 }
 
 void
 ComputeCore::setL1Word(std::uint64_t index, double value)
 {
-    panicIf(index >= l1Data_.size(), "L1 word index out of range");
+    panicIf(index >= config_.l1Bytes / 4, "L1 word index out of range");
+    materialize();
     l1Data_[index] = value;
 }
 
@@ -77,6 +87,7 @@ ComputeCore::setThrottle(double bubble_fraction)
 RunResult
 ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
 {
+    RegisterFile &regs = materialize();
     RunResult result;
     result.startTick = start;
 
@@ -108,7 +119,7 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
         cycle += 1.0;
         ++result.issueCycles;
 
-        unsigned bank_stalls = regs_.bankConflictStalls(packet);
+        unsigned bank_stalls = regs.bankConflictStalls(packet);
         cycle += bank_stalls;
         result.bankStallCycles += bank_stalls;
 
@@ -136,46 +147,46 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
               case Opcode::Nop:
                 break;
               case Opcode::SLoadImm:
-                regs_.setSreg(inst.dst, inst.imm);
+                regs.setSreg(inst.dst, inst.imm);
                 break;
               case Opcode::SAdd:
-                regs_.setSreg(inst.dst,
-                              regs_.sreg(inst.a) + regs_.sreg(inst.b));
+                regs.setSreg(inst.dst,
+                             regs.sreg(inst.a) + regs.sreg(inst.b));
                 break;
               case Opcode::SSub:
-                regs_.setSreg(inst.dst,
-                              regs_.sreg(inst.a) - regs_.sreg(inst.b));
+                regs.setSreg(inst.dst,
+                             regs.sreg(inst.a) - regs.sreg(inst.b));
                 break;
               case Opcode::SMul:
-                regs_.setSreg(inst.dst,
-                              regs_.sreg(inst.a) * regs_.sreg(inst.b));
+                regs.setSreg(inst.dst,
+                             regs.sreg(inst.a) * regs.sreg(inst.b));
                 break;
               case Opcode::SAddImm:
-                regs_.setSreg(inst.dst, regs_.sreg(inst.a) + inst.imm);
+                regs.setSreg(inst.dst, regs.sreg(inst.a) + inst.imm);
                 break;
               case Opcode::VLoadImm:
                 for (unsigned l = 0; l < lanes; ++l)
-                    regs_.setVlane(inst.dst, l,
-                                   dtypeQuantize(inst.dtype, inst.imm));
+                    regs.setVlane(inst.dst, l,
+                                  dtypeQuantize(inst.dtype, inst.imm));
                 result.laneOps += lanes;
                 break;
               case Opcode::VLoad: {
                 auto base = static_cast<std::uint64_t>(
-                    regs_.sreg(inst.a));
+                    regs.sreg(inst.a));
                 panicIf(base + lanes > l1Data_.size(),
                         "vload beyond L1 on '", name(), "'");
                 for (unsigned l = 0; l < lanes; ++l)
-                    regs_.setVlane(inst.dst, l, l1Data_[base + l]);
+                    regs.setVlane(inst.dst, l, l1Data_[base + l]);
                 break;
               }
               case Opcode::VStore: {
                 auto base = static_cast<std::uint64_t>(
-                    regs_.sreg(inst.a));
+                    regs.sreg(inst.a));
                 panicIf(base + lanes > l1Data_.size(),
                         "vstore beyond L1 on '", name(), "'");
                 for (unsigned l = 0; l < lanes; ++l)
                     l1Data_[base + l] = dtypeQuantize(
-                        inst.dtype, regs_.vlane(inst.b, l));
+                        inst.dtype, regs.vlane(inst.b, l));
                 break;
               }
               case Opcode::VAdd:
@@ -184,8 +195,8 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
               case Opcode::VMax:
               case Opcode::VMin:
                 for (unsigned l = 0; l < lanes; ++l) {
-                    double x = regs_.vlane(inst.a, l);
-                    double y = regs_.vlane(inst.b, l);
+                    double x = regs.vlane(inst.a, l);
+                    double y = regs.vlane(inst.b, l);
                     double r = 0.0;
                     switch (inst.op) {
                       case Opcode::VAdd: r = x + y; break;
@@ -194,42 +205,42 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
                       case Opcode::VMax: r = std::max(x, y); break;
                       default: r = std::min(x, y); break;
                     }
-                    regs_.setVlane(inst.dst, l,
-                                   dtypeQuantize(inst.dtype, r));
+                    regs.setVlane(inst.dst, l,
+                                  dtypeQuantize(inst.dtype, r));
                 }
                 result.laneOps += lanes;
                 break;
               case Opcode::VMac:
                 for (unsigned l = 0; l < lanes; ++l) {
-                    double r = regs_.vlane(inst.dst, l) +
-                               regs_.vlane(inst.a, l) *
-                                   regs_.vlane(inst.b, l);
-                    regs_.setVlane(inst.dst, l,
-                                   dtypeQuantize(inst.dtype, r));
+                    double r = regs.vlane(inst.dst, l) +
+                               regs.vlane(inst.a, l) *
+                                   regs.vlane(inst.b, l);
+                    regs.setVlane(inst.dst, l,
+                                  dtypeQuantize(inst.dtype, r));
                 }
                 result.laneOps += lanes;
                 result.macs += lanes;
                 break;
               case Opcode::VRelu:
                 for (unsigned l = 0; l < lanes; ++l)
-                    regs_.setVlane(inst.dst, l,
-                                   std::max(0.0, regs_.vlane(inst.a, l)));
+                    regs.setVlane(inst.dst, l,
+                                  std::max(0.0, regs.vlane(inst.a, l)));
                 result.laneOps += lanes;
                 break;
               case Opcode::VRedSum: {
                 double sum = 0.0;
                 for (unsigned l = 0; l < lanes; ++l)
-                    sum += regs_.vlane(inst.a, l);
-                regs_.setSreg(inst.dst, dtypeQuantize(inst.dtype, sum));
+                    sum += regs.vlane(inst.a, l);
+                regs.setSreg(inst.dst, dtypeQuantize(inst.dtype, sum));
                 result.laneOps += lanes;
                 break;
               }
               case Opcode::SpuApply: {
                 for (unsigned l = 0; l < lanes; ++l)
-                    regs_.setVlane(inst.dst, l,
-                                   spu_.evaluate(inst.spuFunc,
-                                                 regs_.vlane(inst.a, l),
-                                                 inst.dtype));
+                    regs.setVlane(inst.dst, l,
+                                  spu_.evaluate(inst.spuFunc,
+                                                regs.vlane(inst.a, l),
+                                                inst.dtype));
                 result.laneOps += lanes;
                 double per_cycle =
                     Spu::resultsPerCycle(inst.dtype, config_.dtu2);
@@ -238,17 +249,17 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
                 break;
               }
               case Opcode::MLoadRow: {
-                auto row = static_cast<unsigned>(regs_.sreg(inst.b));
-                regs_.mloadRow(inst.dst, row,
-                               regs_.vread(inst.a,
-                                           regs_.geometry().maxLanes));
+                auto row = static_cast<unsigned>(regs.sreg(inst.b));
+                regs.mloadRow(inst.dst, row,
+                              regs.vread(inst.a,
+                                         regs.geometry().maxLanes));
                 break;
               }
               case Opcode::MZeroAcc:
-                regs_.accZero(inst.dst);
+                regs.accZero(inst.dst);
                 break;
               case Opcode::Vmm: {
-                matrix_.executeVmm(regs_, inst);
+                matrix_.executeVmm(regs, inst);
                 double op_cycles = matrix_.vmmCycles(
                     static_cast<unsigned>(inst.vmmRows), inst.dtype);
                 matrixBusyUntil_ = cycle + op_cycles;
@@ -256,15 +267,15 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
                 break;
               }
               case Opcode::MReadAcc:
-                for (unsigned l = 0; l < regs_.geometry().maxLanes; ++l)
-                    regs_.setVlane(inst.dst, l, regs_.aclane(inst.a, l));
+                for (unsigned l = 0; l < regs.geometry().maxLanes; ++l)
+                    regs.setVlane(inst.dst, l, regs.aclane(inst.a, l));
                 break;
               case Opcode::MRelMatrix: {
-                std::vector<double> input = regs_.vread(inst.a, lanes);
+                std::vector<double> input = regs.vread(inst.a, lanes);
                 auto rel = MatrixEngine::relationshipMatrix(input);
                 for (unsigned r = 0; r < lanes; ++r)
                     for (unsigned c = 0; c < lanes; ++c)
-                        regs_.setMelem(inst.dst, r, c, rel[r][c]);
+                        regs.setMelem(inst.dst, r, c, rel[r][c]);
                 matrixBusyUntil_ =
                     cycle + matrix_.vmmCycles(std::min(lanes, 16u),
                                               inst.dtype);
@@ -277,17 +288,17 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
                 for (unsigned r = 0; r < lanes; ++r) {
                     double sum = 0.0;
                     for (unsigned c = 0; c < lanes; ++c)
-                        sum += regs_.melem(inst.a, r, c);
-                    regs_.setVlane(inst.dst, r, sum);
+                        sum += regs.melem(inst.a, r, c);
+                    regs.setVlane(inst.dst, r, sum);
                 }
                 break;
               }
               case Opcode::MPermMatrix: {
-                std::vector<double> order = regs_.vread(inst.a, lanes);
+                std::vector<double> order = regs.vread(inst.a, lanes);
                 auto perm = MatrixEngine::permutationMatrix(order);
                 for (unsigned r = 0; r < lanes; ++r)
                     for (unsigned c = 0; c < lanes; ++c)
-                        regs_.setMelem(inst.dst, r, c, perm[r][c]);
+                        regs.setMelem(inst.dst, r, c, perm[r][c]);
                 break;
               }
               case Opcode::Prefetch:
@@ -336,7 +347,7 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
                 break;
               }
               case Opcode::BranchNe:
-                if (regs_.sreg(inst.a) != regs_.sreg(inst.b))
+                if (regs.sreg(inst.a) != regs.sreg(inst.b))
                     next_pc = static_cast<std::size_t>(inst.imm);
                 break;
               case Opcode::Halt:

@@ -16,7 +16,10 @@
  *
  * Kernels are executed functionally (real values flow through the
  * register files and L1), so the same run yields both timing and
- * numerics.
+ * numerics. That functional state (a 2 MiB L1 array and the register
+ * file) is built on first use: serving credits analytic activity
+ * through creditStats() and never runs the ISA, so a serving chip
+ * holds none of it.
  */
 
 #ifndef DTU_CORE_COMPUTE_CORE_HH
@@ -91,12 +94,17 @@ class ComputeCore : public SimObject
     RunResult run(const Kernel &kernel, int kernel_id = 0, Tick start = 0);
 
     /** Register state (inspectable by tests and examples). */
-    RegisterFile &regs() { return regs_; }
-    const RegisterFile &regs() const { return regs_; }
+    RegisterFile &regs() { return materialize(); }
 
-    /** Functional L1 word access (element-granular addressing). */
+    /**
+     * Functional L1 word access (element-granular addressing). A word
+     * never written reads 0.0 without building the L1 array.
+     */
     double l1Word(std::uint64_t index) const;
     void setL1Word(std::uint64_t index, double value);
+
+    /** True once run(), regs() or setL1Word() built the state. */
+    bool materialized() const { return regs_ != nullptr; }
 
     /** Descriptor table DmaConfig/DmaLaunch instructions index. */
     void setDescriptorTable(std::vector<DmaDescriptor> descriptors);
@@ -123,19 +131,19 @@ class ComputeCore : public SimObject
     ClockDomain &clock() { return clock_; }
 
   private:
-    /** Execute the functional side of one instruction. */
-    void execute(const Instruction &inst, std::size_t &pc, Tick now,
-                 RunResult &result, bool &halted);
+    /** Build the register file and L1 array if not yet built. */
+    RegisterFile &materialize();
 
     ClockDomain &clock_;
     CoreConfig config_;
-    RegisterFile regs_;
+    /** Functional state, null until materialize(). */
+    std::unique_ptr<RegisterFile> regs_;
+    std::vector<double> l1Data_;
     MatrixEngine matrix_;
     Spu spu_;
     InstructionCache *icache_;
     SyncEngine *sync_;
     DmaEngine *dma_;
-    std::vector<double> l1Data_;
     std::vector<DmaDescriptor> descriptors_;
     double throttle_ = 0.0;
 

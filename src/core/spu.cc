@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "core/register_file.hh"
 #include "sim/logging.hh"
@@ -108,24 +111,39 @@ Spu::rawDeriv2(SpuFunc f, double x)
     }
 }
 
-Spu::Spu(unsigned table_entries)
-    : entries_(table_entries)
+const Spu::Tables &
+Spu::sharedTables(unsigned entries)
 {
-    fatalIf(table_entries < 8, "SPU lookup table needs >= 8 entries");
+    static std::mutex mutex;
+    static std::map<unsigned, std::unique_ptr<const Tables>> sets;
+    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_ptr<const Tables> &set = sets[entries];
+    if (set)
+        return *set;
+    auto tables = std::make_unique<Tables>();
     for (int fi = 0; fi < numSpuFuncs; ++fi) {
         auto f = static_cast<SpuFunc>(fi);
-        Table &table = tables_[static_cast<std::size_t>(fi)];
+        Table &table = (*tables)[static_cast<std::size_t>(fi)];
         canonicalRange(f, table.lo, table.hi);
         if (f == SpuFunc::Gelu || f == SpuFunc::Swish)
             continue; // composed ops; no table of their own
-        table.entries.resize(entries_);
-        double h = (table.hi - table.lo) / entries_;
-        for (unsigned i = 0; i < entries_; ++i) {
+        table.entries.resize(entries);
+        double h = (table.hi - table.lo) / entries;
+        for (unsigned i = 0; i < entries; ++i) {
             double x0 = table.lo + (i + 0.5) * h;
             table.entries[i] = {rawFunc(f, x0), rawDeriv1(f, x0),
                                 rawDeriv2(f, x0)};
         }
     }
+    set = std::move(tables);
+    return *set;
+}
+
+Spu::Spu(unsigned table_entries)
+    : entries_(table_entries)
+{
+    fatalIf(table_entries < 8, "SPU lookup table needs >= 8 entries");
+    tables_ = &sharedTables(table_entries);
 }
 
 double
@@ -145,7 +163,7 @@ Spu::taylor(const Table &table, double x) const
 double
 Spu::evaluate(SpuFunc f, double x) const
 {
-    const Table &table = tables_[static_cast<std::size_t>(f)];
+    const Table &table = (*tables_)[static_cast<std::size_t>(f)];
     switch (f) {
       case SpuFunc::Exp: {
         // x = k*ln2 + r; exp(x) = 2^k * exp(r).

@@ -10,6 +10,9 @@
  * hardware uses: exponent splitting for log/rsqrt, saturation for
  * tanh/sigmoid, periodic reduction for sin), picks the nearest table
  * segment, and sums the three Taylor terms.
+ *
+ * The tables are immutable, so every Spu with the same table size
+ * shares one process-wide set, built on first use.
  */
 
 #ifndef DTU_CORE_SPU_HH
@@ -63,6 +66,9 @@ class Spu
     static unsigned resultsPerCycle(DType t, bool dtu2 = true);
 
   private:
+    /** Reads the table set address back for the sharing test. */
+    friend struct SpuProbe;
+
     struct TableEntry
     {
         double f = 0.0;
@@ -76,6 +82,10 @@ class Spu
         double hi = 1.0;
         std::vector<TableEntry> entries;
     };
+    using Tables = std::array<Table, numSpuFuncs>;
+
+    /** The shared table set for @p entries samples per table. */
+    static const Tables &sharedTables(unsigned entries);
 
     /** Core-range evaluation via the quadratic Taylor polynomial. */
     double taylor(const Table &table, double x) const;
@@ -85,7 +95,7 @@ class Spu
     static double rawDeriv2(SpuFunc f, double x);
 
     unsigned entries_;
-    std::array<Table, numSpuFuncs> tables_;
+    const Tables *tables_ = nullptr;
 };
 
 } // namespace dtu

@@ -115,8 +115,11 @@ class DmaEngine : public SimObject
     /** Cycles one configuration costs. */
     unsigned configCycles() const { return configCycles_; }
 
-    /** Duty-cycle style busy ratio within a window, for the LPME. */
+    /** Total bytes moved through the engine datapath. */
     double totalBytes() const { return pipe_->totalBytes(); }
+
+    /** The engine datapath. */
+    BandwidthResource &pipe() { return *pipe_; }
 
     /**
      * Attach (or detach, with nullptr) the chip fault injector: each

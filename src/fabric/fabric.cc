@@ -62,7 +62,7 @@ Link::transferAt(Tick at, std::uint64_t bytes)
 {
     bytesMoved_ += static_cast<double>(bytes);
     ++transfers_;
-    Tick done = ledger_.book(at, bytes);
+    Tick done = ledger_.book(at, bytes, watermark_);
     if (bytes == 0)
         return done;
     Tick pure = secondsToTicks(static_cast<double>(bytes) /
@@ -212,6 +212,23 @@ Fabric::sendAt(unsigned group, unsigned from_stage, Tick at,
         break;
     }
     return saturatingAddTicks(done, hops * config_.linkLatency);
+}
+
+void
+Fabric::raiseGroupWatermark(unsigned group, Tick at)
+{
+    for (auto &link : peer_.at(group).links)
+        link->raiseWatermark(at);
+}
+
+std::size_t
+Fabric::ledgerPages() const
+{
+    std::size_t pages = root_.ledgerPages();
+    for (const Group &g : peer_)
+        for (const auto &link : g.links)
+            pages += link->ledgerPages();
+    return pages;
 }
 
 std::vector<LinkStats>

@@ -32,6 +32,7 @@
 #ifndef DTU_FABRIC_FABRIC_HH
 #define DTU_FABRIC_FABRIC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -101,6 +102,16 @@ class Link
      */
     Tick transferAt(Tick at, std::uint64_t bytes);
 
+    /**
+     * Close the link's timeline below @p at: a later transfer that
+     * starts earlier waits for it, and ledger pages wholly below it
+     * are retired (see CapacityLedger).
+     */
+    void raiseWatermark(Tick at) { watermark_ = std::max(watermark_, at); }
+
+    /** Ledger pages held (see CapacityLedger::livePages). */
+    std::size_t ledgerPages() const { return ledger_.livePages(); }
+
     const std::string &name() const { return name_; }
 
     /** Configured bandwidth in GB/s. */
@@ -122,6 +133,7 @@ class Link
     std::string name_;
     double gbps_;
     CapacityLedger ledger_;
+    Tick watermark_ = 0;
     double bytesMoved_ = 0.0;
     std::uint64_t transfers_ = 0;
     Tick waitTicks_ = 0;
@@ -198,6 +210,21 @@ class Fabric
     {
         return config_.topology == Topology::SharedRoot && groupSize_ > 1;
     }
+
+    /**
+     * Promise that no later transfer on the root link starts before
+     * @p at. Fleet-thread only, like every other root-link access.
+     */
+    void raiseRootWatermark(Tick at) { root_.raiseWatermark(at); }
+
+    /**
+     * Promise that no later transfer on group @p group's peer links
+     * starts before @p at. Called by the group's own scheduler.
+     */
+    void raiseGroupWatermark(unsigned group, Tick at);
+
+    /** Ledger pages held across every link. */
+    std::size_t ledgerPages() const;
 
     std::vector<LinkStats> linkStats(Tick now) const;
     FabricTotals totals() const;

@@ -44,7 +44,8 @@ BandwidthResource::transferAt(Tick at, std::uint64_t bytes)
     panicIf(at < curTick(), "transferAt in the past on '", name(), "'");
     bytesMoved_ += static_cast<double>(bytes);
     ++transfers_;
-    Tick done = ledger_.book(at, bytes);
+    Tick done =
+        ledger_.book(at, bytes, eventQueue().ledgerWatermark());
     if (bytes == 0)
         return saturatingAddTicks(at, accessLatency_);
     Tick completion = saturatingAddTicks(done, accessLatency_);

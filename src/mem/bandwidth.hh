@@ -73,6 +73,12 @@ class BandwidthResource : public SimObject
     /** Total ticks requests spent waiting behind earlier traffic. */
     double totalWait() const { return waitTicks_.value(); }
 
+    /** Ledger pages held (see CapacityLedger::livePages). */
+    std::size_t ledgerPages() const { return ledger_.livePages(); }
+
+    /** Drop every booking: the pipe is idle from tick 0 again. */
+    void restartLedger() { ledger_ = CapacityLedger(bytesPerSecond()); }
+
   private:
     CapacityLedger ledger_;
     Tick accessLatency_;

@@ -17,9 +17,53 @@ constexpr std::uint64_t kMaxBucket = maxTick / CapacityLedger::kBucketTicks;
 
 } // namespace
 
-Tick
-CapacityLedger::book(Tick at, std::uint64_t bytes)
+CapacityLedger::Page &
+CapacityLedger::pageFor(std::uint64_t page_no)
 {
+    if (auto it = pages_.find(page_no); it != pages_.end())
+        return it->second;
+    if (spares_.empty())
+        return pages_[page_no];
+    // A spare is reset here rather than as it retires: its memory is
+    // about to be written, and its partial list keeps its capacity.
+    PageMap::node_type node = std::move(spares_.back());
+    spares_.pop_back();
+    node.key() = page_no;
+    Page &page = node.mapped();
+    page.saturated.fill(0);
+    page.occupied.fill(0);
+    page.partials.clear();
+    return pages_.insert(std::move(node)).position->second;
+}
+
+void
+CapacityLedger::retireBelow(std::uint64_t page_no)
+{
+    for (auto it = pages_.begin(); it != pages_.end();) {
+        if (it->first >= page_no) {
+            ++it;
+            continue;
+        }
+        PageMap::node_type node = pages_.extract(it++);
+        if (spares_.size() < kSparePages)
+            spares_.push_back(std::move(node));
+    }
+    if (cachedPageNo_ < page_no) {
+        cachedPageNo_ = ~std::uint64_t{0};
+        cachedPage_ = nullptr;
+    }
+}
+
+Tick
+CapacityLedger::book(Tick at, std::uint64_t bytes, Tick watermark)
+{
+    if (watermark > watermark_) {
+        if (watermark / kPageTicks > watermark_ / kPageTicks)
+            retireBelow(watermark / kPageTicks);
+        watermark_ = watermark;
+    }
+    // Time below the watermark is closed: late work waits for it.
+    at = std::max(at, watermark_);
     if (bytes == 0)
         return at;
     double remaining = static_cast<double>(bytes);
@@ -37,7 +81,7 @@ CapacityLedger::book(Tick at, std::uint64_t bytes)
         }
         if (idx / kPageBuckets != cachedPageNo_) {
             cachedPageNo_ = idx / kPageBuckets;
-            cachedPage_ = &pages_[cachedPageNo_];
+            cachedPage_ = &pageFor(cachedPageNo_);
         }
         Page &page = *cachedPage_;
         const auto slot = static_cast<std::uint16_t>(idx % kPageBuckets);

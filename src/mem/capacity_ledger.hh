@@ -28,11 +28,19 @@ namespace dtu
  * partial ones keep their exact double; DESIGN.md §4b says why this
  * books bit-identically to a dense one-bucket-at-a-time walk. The rate
  * is fixed at construction and must be positive (callers validate it).
+ *
+ * Time below a caller-supplied, monotone watermark is closed: a
+ * booking that starts before it starts at it instead, and pages
+ * wholly below it are retired. A walk reads only buckets at or after
+ * its own start, so dropping them changes no booking that starts at
+ * or after the watermark (DESIGN.md §4b).
  */
 class CapacityLedger
 {
   public:
     static constexpr Tick kBucketTicks = 50'000; // 50 ns
+    static constexpr std::uint64_t kPageBuckets = 4096;
+    static constexpr Tick kPageTicks = kPageBuckets * kBucketTicks;
 
     explicit CapacityLedger(double bytes_per_second)
         : bytesPerSecond_(bytes_per_second),
@@ -40,22 +48,34 @@ class CapacityLedger
     {}
 
     /**
-     * Book @p bytes starting no earlier than @p at.
+     * Book @p bytes starting no earlier than @p at or the highest
+     * @p watermark seen, first retiring the pages wholly below that
+     * watermark (0 retires nothing).
      * @return the tick the last byte lands, saturating at maxTick
-     *         (@p at for zero bytes, which books nothing).
+     *         (the start for zero bytes, which books nothing).
      */
-    Tick book(Tick at, std::uint64_t bytes);
+    Tick book(Tick at, std::uint64_t bytes, Tick watermark = 0);
 
     double bytesPerSecond() const { return bytesPerSecond_; }
 
     /** Latest completion booked so far. */
     Tick freeAt() const { return freeAt_; }
 
+    /** Pages held: touched by a booking and not yet retired. */
+    std::size_t livePages() const { return pages_.size(); }
+
   private:
     /** Reads buckets back for the reference-model property test. */
     friend struct CapacityLedgerProbe;
 
-    static constexpr std::uint64_t kPageBuckets = 4096;
+    /**
+     * Retired page nodes kept for reuse; the rest are freed. A launch
+     * books its whole timeline at once, tens of pages past the
+     * watermark, so pages are created and retired in bursts. A spare
+     * keeps the capacity of its partial list (at most kPageBuckets
+     * entries), so a reused page does not grow it again.
+     */
+    static constexpr std::size_t kSparePages = 64;
 
     /** A bucket in neither bitmap is empty (0.0 bytes booked). */
     struct Page
@@ -67,10 +87,25 @@ class CapacityLedger
         std::vector<std::pair<std::uint16_t, double>> partials;
     };
 
+    using PageMap = std::unordered_map<std::uint64_t, Page>;
+
+    /** The live page @p page_no, made (from a spare) if new. */
+    Page &pageFor(std::uint64_t page_no);
+
+    /** Retire every page below @p page_no. */
+    void retireBelow(std::uint64_t page_no);
+
     double bytesPerSecond_;
     /** Capacity of one bucket in bytes. */
     double cap_;
-    std::unordered_map<std::uint64_t, Page> pages_;
+    PageMap pages_;
+    /** Retired page nodes, reset on reuse; at most kSparePages. */
+    std::vector<PageMap::node_type> spares_;
+    /**
+     * Highest watermark seen: pages wholly below it are retired, and
+     * no booking starts before it.
+     */
+    Tick watermark_ = 0;
     /** Last page touched: walks are local, so this is the fast path. */
     std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
     Page *cachedPage_ = nullptr;

@@ -50,7 +50,8 @@ Hbm::accessAt(Tick at, Addr addr, std::uint64_t bytes)
         done = std::max(done, channels_[ch]->transferAt(at, ch_bytes));
     }
     if (faults_)
-        done += faults_->eccAccess(done, name(), bytes);
+        done = saturatingAddTicks(done,
+                                  faults_->eccAccess(done, name(), bytes));
     return done;
 }
 
@@ -67,6 +68,13 @@ Hbm::totalBytes() const
     for (const auto &ch : channels_)
         total += ch->totalBytes();
     return total;
+}
+
+void
+Hbm::forEachPipe(const std::function<void(BandwidthResource &)> &f)
+{
+    for (auto &ch : channels_)
+        f(*ch);
 }
 
 } // namespace dtu

@@ -14,6 +14,7 @@
 #ifndef DTU_MEM_HBM_HH
 #define DTU_MEM_HBM_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,6 +60,9 @@ class Hbm : public SimObject
 
     /** Aggregate bytes moved. */
     double totalBytes() const;
+
+    /** Visit every channel. */
+    void forEachPipe(const std::function<void(BandwidthResource &)> &f);
 
     /**
      * Attach (or detach, with nullptr) the chip fault injector: every

@@ -50,7 +50,7 @@ Sram::accessAt(Tick at, unsigned port, unsigned affine_port,
     else
         ++localAccesses_;
     Tick done = ports_[port]->transferAt(at, bytes);
-    return remote ? done + remotePenalty_ : done;
+    return remote ? saturatingAddTicks(done, remotePenalty_) : done;
 }
 
 Tick
@@ -78,6 +78,15 @@ Sram::totalBytes() const
     for (const auto &port : ports_)
         total += port->totalBytes();
     return total;
+}
+
+void
+Sram::forEachPipe(const std::function<void(BandwidthResource &)> &f)
+{
+    for (auto &port : ports_)
+        f(*port);
+    if (dmaPort_)
+        f(*dmaPort_);
 }
 
 } // namespace dtu

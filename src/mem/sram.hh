@@ -14,6 +14,7 @@
 #ifndef DTU_MEM_SRAM_HH
 #define DTU_MEM_SRAM_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,6 +75,9 @@ class Sram : public SimObject
 
     /** Aggregate bytes moved across all ports. */
     double totalBytes() const;
+
+    /** Visit every port, the DMA fill port included. */
+    void forEachPipe(const std::function<void(BandwidthResource &)> &f);
 
   private:
     MemLevel level_;

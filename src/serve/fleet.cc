@@ -266,6 +266,11 @@ Fleet::serve(std::vector<Request> trace)
 
     std::size_t next_arrival = 0;
     auto admitUpTo = [&](Tick upto) {
+        // Every device has reached `upto`, so no root-link transfer
+        // (weight loads here, shared-root collectives in settle) can
+        // start before it.
+        if (fabric_)
+            fabric_->raiseRootWatermark(upto);
         while (next_arrival < trace.size() &&
                trace[next_arrival].arrival <= upto) {
             const Request &r = trace[next_arrival++];

@@ -236,7 +236,12 @@ Scheduler::ensureKv()
 void
 Scheduler::begin(Tick start, const std::map<std::string, unsigned> *future)
 {
-    (void)start;
+    // A trace that starts below the watermark (a second serve()
+    // replaying from tick 0) would wait for the watermark at every
+    // transfer: it starts on idle ledgers instead, as the fleet's
+    // fabric does every serve. Earlier stream bookings are dropped too.
+    if (start < dtu_.eventQueue().ledgerWatermark())
+        dtu_.restartLedgers();
     future_ = future;
     queue_ = RequestQueue();
     genQueue_ = RequestQueue();
@@ -999,6 +1004,11 @@ Scheduler::advanceDecode(Tick upto)
 void
 Scheduler::settle(Tick now)
 {
+    // Everything this chip and its group's peer links book from here
+    // on starts at or after now.
+    dtu_.eventQueue().raiseLedgerWatermark(now);
+    if (fabric_)
+        fabric_->raiseGroupWatermark(fabricGroup_, now);
     dropExpired(now);
     launchOneShots(now);
     launchGeneration(now);

@@ -326,6 +326,9 @@ class Scheduler
     /**
      * Sweep degradation drops (deadline shedding, queue timeouts) at
      * @p now, then launch every launchable batch onto free leases.
+     * Raises the ledger watermark of the chip and of its placement
+     * group's fabric links to @p now first: the driver never steps a
+     * device backwards, so nothing books before it.
      */
     void settle(Tick now);
 

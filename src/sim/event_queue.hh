@@ -23,6 +23,7 @@
 #ifndef DTU_SIM_EVENT_QUEUE_HH
 #define DTU_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -133,6 +134,25 @@ class EventQueue
      */
     void advanceTo(Tick when);
 
+    /**
+     * The start of the open part of this queue's bandwidth timeline:
+     * a booking that starts earlier waits for it, and ledger pages
+     * wholly below it are retired (see CapacityLedger). It is
+     * separate from now(): engines book ahead of now(), and
+     * co-simulation books out of order from tick 0, so only a driver
+     * that books nothing earlier raises it: the serving scheduler, at
+     * each settle. Other users (streams, Executor, tenancy) never
+     * raise it, so on a chip that never served they book anywhere.
+     */
+    Tick ledgerWatermark() const { return ledgerWatermark_; }
+    void
+    raiseLedgerWatermark(Tick at)
+    {
+        ledgerWatermark_ = std::max(ledgerWatermark_, at);
+    }
+    /** Only with every ledger restarted (see Dtu::restartLedgers). */
+    void resetLedgerWatermark() { ledgerWatermark_ = 0; }
+
   private:
     struct Entry
     {
@@ -169,6 +189,7 @@ class EventQueue
     std::size_t mask_ = 0;
 
     Tick now_ = 0;
+    Tick ledgerWatermark_ = 0;
     std::uint64_t nextSequence_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t live_ = 0;

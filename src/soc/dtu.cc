@@ -103,6 +103,35 @@ Dtu::core(unsigned cid)
     return group(cid / per).core(cid % per);
 }
 
+void
+Dtu::forEachPipe(const std::function<void(BandwidthResource &)> &f)
+{
+    hbm_->forEachPipe(f);
+    f(*pcie_);
+    for (unsigned gid = 0; gid < totalGroups(); ++gid) {
+        ProcessingGroup &g = group(gid);
+        g.l2().forEachPipe(f);
+        f(g.dma().pipe());
+        for (unsigned c = 0; c < config_.coresPerGroup; ++c)
+            g.l1(c).forEachPipe(f);
+    }
+}
+
+std::size_t
+Dtu::ledgerPages()
+{
+    std::size_t pages = 0;
+    forEachPipe([&pages](BandwidthResource &p) { pages += p.ledgerPages(); });
+    return pages;
+}
+
+void
+Dtu::restartLedgers()
+{
+    forEachPipe([](BandwidthResource &p) { p.restartLedger(); });
+    queue_.resetLedgerWatermark();
+}
+
 ClockDomain &
 Dtu::coreClockOf(unsigned gid)
 {

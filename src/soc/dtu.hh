@@ -13,6 +13,7 @@
 #ifndef DTU_SOC_DTU_HH
 #define DTU_SOC_DTU_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -84,6 +85,19 @@ class Dtu
     unsigned totalCores() const { return config_.totalCores(); }
     ComputeCore &core(unsigned cid);
 
+    /**
+     * Ledger pages held across the chip's pipes. Pages retire behind
+     * the serving scheduler's watermark, so a long serve keeps this
+     * flat.
+     */
+    std::size_t ledgerPages();
+
+    /**
+     * Drop every pipe's bookings and the ledger watermark: the chip's
+     * contention timeline starts again, idle, from tick 0.
+     */
+    void restartLedgers();
+
     /** Core clock of the cluster containing group @p gid. */
     ClockDomain &coreClockOf(unsigned gid);
 
@@ -147,6 +161,12 @@ class Dtu
     PowerAuditTrail *powerAudit() { return powerAudit_.get(); }
 
   private:
+    /**
+     * Visit every bandwidth pipe on the chip: HBM channels, PCIe, and
+     * each group's L2 ports, DMA datapath and L1 ports.
+     */
+    void forEachPipe(const std::function<void(BandwidthResource &)> &f);
+
     DtuConfig config_;
     EventQueue queue_;
     StatRegistry stats_;

@@ -1,19 +1,24 @@
 /**
  * @file
- * Long serving sweeps under injected faults (ctest label: slow).
+ * Long serving sweeps under injected faults, and a 10^5-request
+ * memory soak (ctest label: slow).
  *
  * These mirror bench_fault_tolerance at test scale: they replay a
  * near-saturation mixed trace through the scheduler with the fault
  * injector running hot, and pin the two properties the fast tier
  * cannot afford to check end-to-end — that deadline-aware shedding
  * strictly beats serving everything late under overload faults, and
- * that a long fully-faulted run replays bit-for-bit.
+ * that a long fully-faulted run replays bit-for-bit. The soak checks
+ * that ledger pages retire behind the serving watermark, so memory
+ * stays flat however long the trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
+#include "api/server.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
 #include "sim/fault.hh"
@@ -104,6 +109,43 @@ TEST(SlowFaultServing, LongFaultedRunReplaysBitForBit)
     writeJson(b, jb);
     EXPECT_EQ(ja.str(), jb.str());
     EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+}
+
+/**
+ * Serve @p count one-shot resnet50 requests on a 2-device fleet at
+ * threads=2; check every request terminated exactly once and return
+ * the ledger pages the chips still hold.
+ */
+std::size_t
+soakLedgerPages(unsigned count)
+{
+    FleetConfig config;
+    config.devices = 2;
+    config.threads = 2;
+    config.serving.batching.maxBatch = 8;
+    config.serving.batching.maxQueueDelay = secondsToTicks(2e-3);
+    FleetServer fleet(config);
+    fleet.submit(poissonTrace("resnet50", 4000.0, count, /*seed=*/9));
+    const FleetReport &report = fleet.serveFleet();
+    std::set<std::uint64_t> ids;
+    for (const RequestOutcome &o : report.fleet.outcomes)
+        EXPECT_TRUE(ids.insert(o.request.id).second)
+            << "request " << o.request.id << " terminated twice";
+    EXPECT_EQ(ids.size(), count);
+    EXPECT_EQ(report.fleet.submitted, count);
+    std::size_t pages = 0;
+    for (unsigned d = 0; d < fleet.size(); ++d)
+        pages += fleet.device(d).chip().ledgerPages();
+    return pages;
+}
+
+TEST(SlowSoak, LedgerPagesStayFlatOverHundredThousandRequests)
+{
+    const std::size_t short_run = soakLedgerPages(1'000);
+    const std::size_t soak = soakLedgerPages(100'000);
+    EXPECT_GT(short_run, 0u);
+    EXPECT_LE(soak, 2 * short_run)
+        << "pages after 10^3 requests: " << short_run;
 }
 
 } // namespace

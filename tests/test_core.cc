@@ -11,12 +11,25 @@
 #include <algorithm>
 #include <cmath>
 
+#include "api/server.hh"
 #include "core/compute_core.hh"
 #include "core/matrix_engine.hh"
 #include "core/register_file.hh"
 #include "core/spu.hh"
 #include "isa/assembler.hh"
+#include "serve/arrival.hh"
 #include "sim/random.hh"
+
+namespace dtu
+{
+
+/** Reads which table set a Spu evaluates from. */
+struct SpuProbe
+{
+    static const void *tables(const Spu &spu) { return spu.tables_; }
+};
+
+} // namespace dtu
 
 namespace
 {
@@ -498,6 +511,103 @@ TEST(ComputeCore, SortingKernelViaMatrixOps)
     h.core.run(as.finish());
     for (unsigned i = 0; i < 16; ++i)
         EXPECT_DOUBLE_EQ(h.core.l1Word(32 + i), i + 1.0);
+}
+
+//
+// Functional state is built on first use
+//
+
+TEST(ComputeCore, FreshCoreReadsZeroWithoutMaterializing)
+{
+    CoreHarness h;
+    const std::uint64_t words = h.config.l1Bytes / 4;
+    EXPECT_FALSE(h.core.materialized());
+    EXPECT_EQ(h.core.l1Word(0), 0.0);
+    EXPECT_EQ(h.core.l1Word(words - 1), 0.0);
+    EXPECT_THROW(h.core.l1Word(words), PanicError);
+    EXPECT_THROW(h.core.setL1Word(words, 1.0), PanicError);
+    EXPECT_FALSE(h.core.materialized());
+
+    h.core.setL1Word(words - 1, 2.5);
+    EXPECT_TRUE(h.core.materialized());
+    EXPECT_EQ(h.core.l1Word(words - 1), 2.5);
+    EXPECT_EQ(h.core.l1Word(0), 0.0);
+    EXPECT_EQ(h.core.regs().sreg(0), 0.0);
+}
+
+TEST(ComputeCore, RunOnServedChipMatchesFreshChip)
+{
+    serve::FleetConfig config;
+    config.devices = 2;
+    config.threads = 2;
+    FleetServer fleet(config);
+    fleet.submit(serve::poissonTrace("resnet50", 4000.0, 32, /*seed=*/5));
+    ASSERT_EQ(fleet.serveFleet().fleet.requests, 32u);
+    // Serving models compute analytically: no core built ISA state.
+    for (unsigned d = 0; d < fleet.size(); ++d) {
+        Dtu &chip = fleet.device(d).chip();
+        for (unsigned c = 0; c < chip.totalCores(); ++c)
+            EXPECT_FALSE(chip.core(c).materialized()) << "core " << c;
+    }
+
+    // L1, vector, SPU and matrix work, started after the serve's
+    // watermark so its instruction fetch books in the open timeline.
+    Dtu &served = fleet.device(0).chip();
+    const Tick start = secondsToTicks(1.0);
+    ASSERT_LT(served.eventQueue().ledgerWatermark(), start);
+    auto run = [](ComputeCore &core, Tick at) {
+        for (unsigned i = 0; i < 16; ++i)
+            core.setL1Word(i, -2.0 + 0.25 * i);
+        Assembler as("mixed");
+        as.sli(0, 0).vload(1, 0).spu(SpuFunc::Tanh, 2, 1);
+        as.vli(3, 0.5).vmac(2, 1, 3);
+        for (int row = 0; row < 4; ++row)
+            as.sli(4, row).mloadrow(0, 2, 4);
+        as.mzeroacc(5).vmm(5, 1, 0, 4, true, DType::FP32).mreadacc(6, 5);
+        as.sli(7, 64).vstore(6, 7);
+        RunResult r = core.run(as.finish(), 0, at);
+        std::vector<double> out;
+        for (unsigned i = 0; i < 16; ++i)
+            out.push_back(core.l1Word(64 + i));
+        return std::make_pair(r, out);
+    };
+    Dtu fresh(dtu2Config());
+    const auto [want, want_out] = run(fresh.core(0), start);
+    const auto [got, got_out] = run(served.core(0), start);
+    EXPECT_EQ(got.startTick, want.startTick);
+    EXPECT_EQ(got.endTick, want.endTick);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.issueCycles, want.issueCycles);
+    EXPECT_EQ(got.bankStallCycles, want.bankStallCycles);
+    EXPECT_EQ(got.structuralStallCycles, want.structuralStallCycles);
+    EXPECT_EQ(got.throttleCycles, want.throttleCycles);
+    EXPECT_EQ(got.icacheStallTicks, want.icacheStallTicks);
+    EXPECT_EQ(got.syncStallTicks, want.syncStallTicks);
+    EXPECT_EQ(got.packets, want.packets);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.macs, want.macs);
+    EXPECT_EQ(got.laneOps, want.laneOps);
+    EXPECT_EQ(got_out, want_out);
+    EXPECT_NE(want_out, std::vector<double>(16, 0.0));
+
+    // From tick 0 the same run waits for the watermark on its first
+    // instruction fetch, and computes the same values.
+    const auto [late, late_out] = run(served.core(1), 0);
+    EXPECT_GT(late.endTick, served.eventQueue().ledgerWatermark());
+    EXPECT_EQ(late.instructions, want.instructions);
+    EXPECT_EQ(late_out, want_out);
+}
+
+TEST(Spu, InstancesShareOneTableSet)
+{
+    const Spu a;
+    const Spu b;
+    const Spu coarse(16);
+    const Spu coarse_too(16);
+    // One immutable set per table size, shared by every instance.
+    EXPECT_EQ(SpuProbe::tables(a), SpuProbe::tables(b));
+    EXPECT_EQ(SpuProbe::tables(coarse), SpuProbe::tables(coarse_too));
+    EXPECT_NE(SpuProbe::tables(a), SpuProbe::tables(coarse));
 }
 
 } // namespace

@@ -13,7 +13,8 @@
  *  - The shared host root complex is a real contended resource: two
  *    simultaneous weight loads take ~2x the serial time (the scalar
  *    weightLoadGbps model let them overlap for free).
- *  - Link completion arithmetic saturates at maxTick, never wraps.
+ *  - Link completion arithmetic saturates at maxTick, never wraps,
+ *    and link ledger pages retire behind the serving watermark.
  *  - A model too big for one device's HBM is a fatal with a sharding
  *    hint, and the same model serves under TP=2 or PP=2 with its
  *    collectives/activation sends visible in the fabric counters,
@@ -504,6 +505,27 @@ renderFabricGoldenRun(unsigned threads)
     std::ostringstream os;
     writeJson(fleet.serveFleet(), os, /*per_request=*/true);
     return os.str();
+}
+
+TEST(FabricLink, PeerLinkPagesRetireBehindTheServingWatermark)
+{
+    // Each group's scheduler raises its peer links' watermark as it
+    // settles, so the links' ledger pages stay flat as traces grow.
+    auto link_pages = [](unsigned requests) {
+        FleetServer fleet(fabricGoldenConfig(/*threads=*/2));
+        std::vector<Request> trace =
+            poissonTrace("gpt_tiny", 2500, requests, /*seed=*/21);
+        for (Request &r : trace) {
+            r.gen.promptLen = 32;
+            r.gen.maxNewTokens = 8;
+        }
+        fleet.submit(finalizeTrace({std::move(trace)}));
+        EXPECT_EQ(fleet.serveFleet().fleet.requests, requests);
+        return fleet.fleet().fabricPtr()->ledgerPages();
+    };
+    const std::size_t short_run = link_pages(16);
+    EXPECT_GT(short_run, 0u);
+    EXPECT_LE(link_pages(256), 2 * short_run);
 }
 
 void

@@ -72,6 +72,16 @@ TEST(Bandwidth, CompletionSaturatesNearMaxTick)
     EXPECT_EQ(pipe.freeAt(), maxTick);
 }
 
+TEST(Sram, RemoteCompletionSaturatesNearMaxTick)
+{
+    MemHarness h;
+    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 1_MiB, 4, 1e9, 1000,
+            5000);
+    // The port's completion already saturates; the remote-port penalty
+    // on top of it must not wrap it round to "done at tick 4999".
+    EXPECT_EQ(l2.accessAt(maxTick - 10'000'000, 1, 0, 1ull << 30), maxTick);
+}
+
 TEST(Bandwidth, RejectsNonPositiveRate)
 {
     MemHarness h;

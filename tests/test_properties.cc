@@ -5,7 +5,7 @@
  * monotonicity, bandwidth-ledger conservation under out-of-order
  * arrival, executor scaling laws, the calendar event queue
  * against a sorted-vector reference model, and the capacity ledger
- * against the per-bucket walk it replaced.
+ * against the per-bucket walk it replaced and with its pages retired.
  */
 
 #include <gtest/gtest.h>
@@ -834,6 +834,128 @@ TEST(CapacityLedgerProperty, RandomOutOfOrderTransfersMatchPerBucketWalk)
             EXPECT_EQ(transfers, 100'007u);
         }
     }
+}
+
+//
+// Page retirement behind a watermark. A booking reads only buckets at
+// or after its own start, so dropping the pages wholly below a bound
+// on every later start must leave every result as it was.
+//
+
+TEST(CapacityLedgerProperty, RetirementBehindWatermarkChangesNoBooking)
+{
+    constexpr Tick kBucket = CapacityLedger::kBucketTicks;
+    constexpr Tick kPage = CapacityLedger::kPageTicks;
+    for (double gbps : {83.2, 100.0 / 3}) {
+        for (std::uint64_t seed : {3u, 11u}) {
+            SCOPED_TRACE(testing::Message()
+                         << gbps << " GB/s, seed " << seed);
+            const double bps = gbps * 1e9;
+            CapacityLedger kept(bps);
+            CapacityLedger retired(bps);
+            fabric::Link kept_link("prop.kept", gbps);
+            fabric::Link link("prop.link", gbps);
+            EventQueue kept_queue;
+            EventQueue queue;
+            BandwidthResource kept_pipe("prop.kept", kept_queue, nullptr,
+                                        bps, 1'500);
+            BandwidthResource pipe("prop.pipe", queue, nullptr, bps, 1'500);
+            const double cap = bps * ticksToSeconds(kBucket);
+            Random rng(seed);
+            Tick watermark = 0;
+            std::size_t max_live = 0;
+            for (unsigned i = 0; i < 100'000; ++i) {
+                // A monotone watermark, sometimes idle, sometimes
+                // jumping whole pages; bookings start out of order, at
+                // page and bucket edges, and a few below it.
+                const double step = rng.uniform();
+                if (step < 0.5)
+                    watermark += rng.below(60 * kBucket);
+                else if (step < 0.501)
+                    watermark += kPage * (1 + rng.below(20));
+                link.raiseWatermark(watermark);
+                queue.raiseLedgerWatermark(watermark);
+                Tick at = watermark + rng.below(64 * kBucket);
+                const double where = rng.uniform();
+                if (where < 0.1)
+                    at = watermark;
+                else if (where < 0.2)
+                    at += kPage - at % kPage;
+                else if (where < 0.3)
+                    at = watermark + rng.below(2 * kPage);
+                // Late work, issued below the watermark, starts at it.
+                const bool late = where >= 0.3 && where < 0.35 && watermark;
+                if (late)
+                    at = watermark - 1 -
+                         rng.below(std::min(watermark, 2 * kPage));
+                const std::uint64_t bytes =
+                    rng.uniform() < 0.05
+                        ? 0
+                        : 1 + rng.below(static_cast<std::uint64_t>(
+                                  cap * (rng.uniform() < 0.8 ? 1 : 150)));
+                ASSERT_EQ(retired.book(at, bytes, watermark),
+                          kept.book(std::max(at, watermark), bytes))
+                    << "at " << at << " bytes " << bytes << " watermark "
+                    << watermark;
+                ASSERT_EQ(retired.freeAt(), kept.freeAt());
+                max_live = std::max(max_live, retired.livePages());
+                // Waiting for the watermark counts as queueing, so the
+                // wait totals below compare only on-time transfers.
+                if (late)
+                    continue;
+                ASSERT_EQ(link.transferAt(at, bytes),
+                          kept_link.transferAt(at, bytes));
+                ASSERT_EQ(pipe.transferAt(at, bytes),
+                          kept_pipe.transferAt(at, bytes));
+            }
+            EXPECT_EQ(link.totalWaitTicks(), kept_link.totalWaitTicks());
+            EXPECT_GT(link.totalWaitTicks(), 0u);
+            EXPECT_EQ(pipe.totalWait(), kept_pipe.totalWait());
+            // Live pages span only the watermark to the booking horizon,
+            // while the unretired ledger keeps every page it touched.
+            EXPECT_LE(max_live, 8u);
+            EXPECT_LE(link.ledgerPages(), 8u);
+            EXPECT_LE(pipe.ledgerPages(), 8u);
+            EXPECT_GT(kept.livePages(), 200u);
+        }
+    }
+}
+
+TEST(CapacityLedgerProperty, LateBookingWaitsForTheWatermark)
+{
+    constexpr Tick kPage = CapacityLedger::kPageTicks;
+    const Tick watermark = kPage + 1;
+    CapacityLedger ledger(32e9);
+    CapacityLedger kept(32e9);
+    ledger.book(kPage / 2, 1'000);
+    kept.book(kPage / 2, 1'000);
+    // Starting in the retired page 0, or in the live page 1 below the
+    // watermark, both book as if started at the watermark. The ledger
+    // keeps the highest watermark it has seen.
+    EXPECT_EQ(ledger.book(kPage - 1, 1'000, watermark),
+              kept.book(watermark, 1'000));
+    EXPECT_EQ(ledger.book(kPage, 1'000, watermark),
+              kept.book(watermark, 1'000));
+    EXPECT_EQ(ledger.book(0, 0), watermark);
+    EXPECT_EQ(ledger.freeAt(), kept.freeAt());
+    EXPECT_EQ(ledger.livePages(), 1u);
+
+    // Pipes and links count the wait for the watermark as queueing.
+    EventQueue queue;
+    EventQueue fresh_queue;
+    BandwidthResource pipe("pipe", queue, nullptr, 32e9);
+    BandwidthResource fresh_pipe("fresh", fresh_queue, nullptr, 32e9);
+    queue.raiseLedgerWatermark(3 * kPage);
+    EXPECT_EQ(pipe.transferAt(2 * kPage, 64),
+              fresh_pipe.transferAt(3 * kPage, 64));
+    EXPECT_NEAR(pipe.totalWait(), static_cast<double>(kPage), 1.0);
+    fabric::Link link("link", 32.0);
+    fabric::Link fresh_link("fresh", 32.0);
+    link.raiseWatermark(3 * kPage);
+    EXPECT_EQ(link.transferAt(2 * kPage, 64),
+              fresh_link.transferAt(3 * kPage, 64));
+    EXPECT_NEAR(static_cast<double>(link.totalWaitTicks()),
+                static_cast<double>(kPage), 1.0);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include "sim/logging.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "compiler/lowering.hh"
@@ -170,11 +171,16 @@ TEST(Tenancy, BatchedSplitsFairly)
         chip, [](int b) { return models::buildResnet50(b); }, 7, 3, 1,
         {.powerManagement = false});
     ASSERT_EQ(res.tenants.size(), 3u);
-    // 7 samples over 3 tenants: shares of 2 or 3.
-    double samples = 0.0;
-    for (const auto &t : res.tenants)
-        samples += 0.0; // latency checked below
-    (void)samples;
+    // 7 samples over 3 tenants: shares of 2 or 3. Each tenant's share
+    // is its samples/s times its latency.
+    long samples = 0;
+    for (const auto &t : res.tenants) {
+        const long share = std::lround(t.throughput *
+                                       ticksToSeconds(t.latency));
+        EXPECT_TRUE(share == 2 || share == 3) << "share " << share;
+        samples += share;
+    }
+    EXPECT_EQ(samples, 7);
     EXPECT_GT(res.throughput, 0.0);
     EXPECT_GT(res.makespan, 0u);
 }

@@ -10,6 +10,8 @@
 #include <sstream>
 
 #include "api/server.hh"
+#include "compiler/lowering.hh"
+#include "models/model_zoo.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
 #include "sim/logging.hh"
@@ -356,6 +358,59 @@ TEST(ServerTest, CoexistsWithLiveStreams)
     const ServingReport &report = server.serve();
     EXPECT_EQ(report.requests, 6u);
     EXPECT_EQ(device.resources().activeGroups(), 3u); // the stream
+}
+
+TEST(ServerTest, StreamsWorkOnAServedDevice)
+{
+    // A served chip's timeline only moves forward: stream work issued
+    // after a serve from cursor 0 waits for the serve's watermark
+    // rather than booking into the retired part of the timeline.
+    Device device;
+    Stream early = *device.createStream(3);
+    Server server(device);
+    server.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/1));
+    EXPECT_EQ(server.serve().requests, 48u);
+    const Tick watermark = device.chip().eventQueue().ledgerWatermark();
+    ASSERT_GT(watermark, 0u);
+
+    ExecutionPlan plan = compile(models::buildResnet50(),
+                                 device.properties(), DType::FP16, 3);
+    ASSERT_EQ(early.cursor(), 0u);
+    DeviceBuffer buffer = device.malloc(1_MiB);
+    early.memcpyH2D(buffer, 1_MiB);
+    EXPECT_GT(early.cursor(), watermark);
+    const Tick copied = early.cursor();
+    early.run(plan);
+    EXPECT_GT(early.cursor(), copied);
+    early.memcpyD2H(buffer, 1_MiB);
+    EXPECT_GT(early.synchronize(), copied);
+
+    // A stream leased after the serve also starts at cursor 0.
+    Stream late = *device.createStream(3);
+    ASSERT_EQ(late.cursor(), 0u);
+    const ExecResult &result = late.run(plan);
+    EXPECT_GT(result.latency, 0u);
+    EXPECT_GT(late.cursor(), watermark);
+}
+
+TEST(ServerTest, SecondServeReplaysFromTickZero)
+{
+    // serve() drains a fresh trace, whose arrivals may restart at tick
+    // 0: below the first serve's ledger watermark. The device's
+    // ledgers then restart idle instead of waiting for the watermark.
+    Device device;
+    Server server(device);
+    server.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/1));
+    EXPECT_EQ(server.serve().requests, 48u);
+    EXPECT_GT(device.chip().eventQueue().ledgerWatermark(), 0u);
+    server.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/2));
+    const ServingReport &again = server.serve();
+    EXPECT_EQ(again.requests, 48u);
+
+    Device fresh;
+    Server alone(fresh);
+    alone.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/2));
+    EXPECT_EQ(again.makespan, alone.serve().makespan);
 }
 
 } // namespace
