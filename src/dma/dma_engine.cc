@@ -67,50 +67,71 @@ DmaEngine::DmaEngine(std::string name, EventQueue &queue,
 }
 
 Tick
-DmaEngine::l2AccessAt(Tick at, Sram *l2, unsigned port,
-                      std::uint64_t bytes, bool fill_port)
+DmaEngine::l2Series(Sram &l2, unsigned port, std::uint64_t bytes,
+                    bool fill_port)
 {
     // When the caller pins a port (core-affine data) the engine
     // honours it. Background streams (weight prefetch) take the
     // dedicated DMA-side fill port so they never steal core-bonded
     // port cycles; other unpinned traffic stripes the core ports.
-    if (port < l2->numPorts())
-        return l2->accessAt(at, port, port, bytes);
-    if (fill_port && l2->hasDmaPort())
-        return l2->dmaAccessAt(at, bytes);
-    unsigned nports = l2->numPorts();
+    const std::size_t n = starts_.size();
+    if (port < l2.numPorts()) {
+        l2.accessSeries(starts_.data(), n, port, port, bytes,
+                        seriesDone_.data());
+        return seriesDone_.back();
+    }
+    if (fill_port && l2.hasDmaPort()) {
+        l2.dmaAccessSeries(starts_.data(), n, bytes, seriesDone_.data());
+        return seriesDone_.back();
+    }
+    unsigned nports = l2.numPorts();
     std::uint64_t chunk = bytes / nports;
     std::uint64_t rem = bytes % nports;
-    Tick done = at;
+    Tick done = starts_.back();
     for (unsigned p = 0; p < nports; ++p) {
         std::uint64_t b = chunk + (p < rem ? 1 : 0);
-        if (b)
-            done = std::max(done, l2->accessAt(at, p, p, b));
+        if (!b)
+            continue;
+        l2.accessSeries(starts_.data(), n, p, p, b, seriesDone_.data());
+        done = std::max(done, seriesDone_.back());
     }
     return done;
 }
 
 Tick
-DmaEngine::endpointAccess(Tick at, MemLevel level, Addr addr, unsigned port,
-                          std::uint64_t bytes, bool fill_port)
+DmaEngine::endpointSeries(MemLevel level, Addr addr, std::uint64_t stride,
+                          unsigned port, std::uint64_t bytes,
+                          bool fill_port)
 {
+    const std::size_t n = starts_.size();
     switch (level) {
-      case MemLevel::L3:
+      case MemLevel::L3: {
         panicIf(!fabric_.hbm, "DMA '", name(), "' has no L3 endpoint");
-        return fabric_.hbm->accessAt(at, addr, bytes);
+        // One access per transaction, in order: each draws its ECC
+        // outcome from the chip's fault stream.
+        Tick done = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            done = fabric_.hbm->accessAt(starts_[i], addr + i * stride,
+                                         bytes);
+        return done;
+      }
       case MemLevel::L2:
         panicIf(!fabric_.localL2, "DMA '", name(), "' has no L2 endpoint");
-        return l2AccessAt(at, fabric_.localL2, port, bytes, fill_port);
+        return l2Series(*fabric_.localL2, port, bytes, fill_port);
       case MemLevel::L1: {
         if (port == DmaDescriptor::anyPort)
             port = 0;
         panicIf(port >= fabric_.coreL1.size(), "DMA '", name(),
                 "' L1 port ", port, " out of range");
-        return fabric_.coreL1[port]->accessAt(at, 0, 0, bytes);
+        fabric_.coreL1[port]->accessSeries(starts_.data(), n, 0, 0, bytes,
+                                           seriesDone_.data());
+        return seriesDone_.back();
       }
       case MemLevel::Host:
         panicIf(!fabric_.pcie, "DMA '", name(), "' has no host link");
-        return fabric_.pcie->transferAt(at, bytes);
+        fabric_.pcie->transferSeries(starts_.data(), n, bytes,
+                                     seriesDone_.data());
+        return seriesDone_.back();
     }
     panic("unreachable DMA endpoint");
 }
@@ -147,7 +168,7 @@ DmaEngine::submitAt(Tick at, const DmaDescriptor &desc)
             faults_->recordDmaExhausted(r.done, name());
             break;
         }
-        t = r.done + faults_->dmaBackoff(attempt);
+        t = saturatingAddTicks(r.done, faults_->dmaBackoff(attempt));
         ++attempt;
         total.retries = attempt;
         faults_->recordDmaRetry();
@@ -165,6 +186,10 @@ DmaEngine::submitOnce(Tick at, const DmaDescriptor &desc)
             "broadcast requested but not supported by this DMA engine");
     fatalIf(desc.sparse && !features_.sparseDecompress,
             "sparse transfer requested but not supported");
+    // Endpoints on one level would share a ledger, which the
+    // per-endpoint series booking below does not interleave.
+    fatalIf(desc.src == desc.dst, "DMA source and destination are both ",
+            memLevelName(desc.src));
 
     bool use_repeat = desc.repeatMode && features_.repeatMode &&
                       desc.repeatCount > 1;
@@ -212,53 +237,59 @@ DmaEngine::submitOnce(Tick at, const DmaDescriptor &desc)
     auto pipe_bytes = static_cast<std::uint64_t>(
         static_cast<double>(src_bytes) / rate_factor + 0.5);
 
+    // The engine datapath chains the transactions: each starts once
+    // its predecessor has cleared the pipe, so the pipe is booked one
+    // transaction at a time and fixes every start tick. Back-to-back
+    // transactions pipeline behind it; memory-side stalls surface
+    // through the endpoints' own queues on the next transaction.
     DmaResult result;
+    const unsigned n = desc.repeatCount;
+    starts_.resize(n);
+    seriesDone_.resize(n);
     Tick t = std::max(at, curTick());
-    for (unsigned i = 0; i < desc.repeatCount; ++i) {
-        bool pay_config = i == 0 || !use_repeat;
-        if (pay_config) {
-            t += config_ticks;
+    Tick engine_done = t;
+    for (unsigned i = 0; i < n; ++i) {
+        if (i == 0 || !use_repeat) {
+            t = saturatingAddTicks(t, config_ticks);
             ++result.configs;
             ++configOps_;
             configTicks_ += static_cast<double>(config_ticks);
         }
-        Addr src_addr = desc.srcAddr + i * desc.repeatStride;
-        Addr dst_addr = desc.dstAddr + i * desc.repeatStride;
-
-        Tick engine_done = pipe_->transferAt(t, pipe_bytes);
-        Tick src_done =
-            endpointAccess(t, desc.src, src_addr, desc.srcPort, src_bytes,
-                           desc.useFillPort);
-        Tick dst_done = 0;
-        if (desc.broadcast) {
-            for (std::size_t g = 0; g < fabric_.clusterL2.size(); ++g) {
-                dst_done = std::max(
-                    dst_done, l2AccessAt(t, fabric_.clusterL2[g],
-                                         DmaDescriptor::anyPort,
-                                         dst_bytes, desc.useFillPort));
-            }
-            broadcastCopies_ += static_cast<double>(
-                fabric_.clusterL2.size() > 0 ? fabric_.clusterL2.size() - 1
-                                             : 0);
-            result.dstBytes += dst_bytes * fabric_.clusterL2.size();
-        } else {
-            dst_done = endpointAccess(t, desc.dst, dst_addr, desc.dstPort,
-                                      dst_bytes, desc.useFillPort);
-            result.dstBytes += dst_bytes;
-        }
-        result.srcBytes += src_bytes;
+        starts_[i] = t;
+        engine_done = pipe_->transferAt(t, pipe_bytes);
+        t = std::max(engine_done, t);
         ++transactions_;
         if (desc.sparse)
             sparseSavedBytes_ +=
                 static_cast<double>(desc.bytes - compressed);
-
-        Tick txn_done = std::max({engine_done, src_done, dst_done});
-        result.done = txn_done;
-        // Back-to-back transactions pipeline behind the engine
-        // datapath; memory-side stalls surface through the endpoints'
-        // own queues on the next transaction.
-        t = std::max(engine_done, t);
+        if (desc.broadcast)
+            broadcastCopies_ += static_cast<double>(
+                fabric_.clusterL2.size() > 0 ? fabric_.clusterL2.size() - 1
+                                             : 0);
     }
+
+    // Source and destination share no ledger with the pipe or each
+    // other, so booking each endpoint's whole series in turn leaves
+    // every ledger's booking order as transaction-major booking would.
+    Tick src_done = endpointSeries(desc.src, desc.srcAddr, desc.repeatStride,
+                                   desc.srcPort, src_bytes,
+                                   desc.useFillPort);
+    Tick dst_done = 0;
+    if (desc.broadcast) {
+        for (Sram *slice : fabric_.clusterL2)
+            dst_done = std::max(dst_done,
+                                l2Series(*slice, DmaDescriptor::anyPort,
+                                         dst_bytes, desc.useFillPort));
+    } else {
+        dst_done = endpointSeries(desc.dst, desc.dstAddr, desc.repeatStride,
+                                  desc.dstPort, dst_bytes,
+                                  desc.useFillPort);
+    }
+    const std::uint64_t copies =
+        desc.broadcast ? fabric_.clusterL2.size() : 1;
+    result.srcBytes = src_bytes * n;
+    result.dstBytes = dst_bytes * copies * n;
+    result.done = std::max({engine_done, src_done, dst_done});
 
     // One span covers the whole request (all repeat transactions);
     // per-transaction spans would swamp the timeline at no insight.

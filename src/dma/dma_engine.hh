@@ -132,13 +132,20 @@ class DmaEngine : public SimObject
     /** One fault-free attempt at a request (the pre-fault submitAt). */
     DmaResult submitOnce(Tick at, const DmaDescriptor &desc);
 
-    /** Charge one endpoint and return its completion tick. */
-    Tick endpointAccess(Tick at, MemLevel level, Addr addr, unsigned port,
-                        std::uint64_t bytes, bool fill_port);
+    /**
+     * Book every transaction of the series (starts_) on one endpoint,
+     * the i-th at @p addr + i * @p stride.
+     * @return the last transaction's completion tick.
+     */
+    Tick endpointSeries(MemLevel level, Addr addr, std::uint64_t stride,
+                        unsigned port, std::uint64_t bytes, bool fill_port);
 
-    /** L2 access: pinned to @p port, striped, or via the fill port. */
-    Tick l2AccessAt(Tick at, Sram *l2, unsigned port, std::uint64_t bytes,
-                    bool fill_port);
+    /**
+     * L2 series: pinned to @p port, via the fill port, or striped.
+     * @return the last transaction's completion tick.
+     */
+    Tick l2Series(Sram &l2, unsigned port, std::uint64_t bytes,
+                  bool fill_port);
 
     ClockDomain &clock_;
     DmaFabric fabric_;
@@ -146,6 +153,10 @@ class DmaEngine : public SimObject
     unsigned configCycles_;
     std::unique_ptr<BandwidthResource> pipe_;
     FaultInjector *faults_ = nullptr;
+    /** The current request's transaction start ticks. */
+    std::vector<Tick> starts_;
+    /** Completions of one endpoint's series (scratch). */
+    std::vector<Tick> seriesDone_;
 
     Stat transactions_;
     Stat configOps_;

@@ -41,18 +41,35 @@ BandwidthResource::transfer(std::uint64_t bytes)
 Tick
 BandwidthResource::transferAt(Tick at, std::uint64_t bytes)
 {
-    panicIf(at < curTick(), "transferAt in the past on '", name(), "'");
-    bytesMoved_ += static_cast<double>(bytes);
-    ++transfers_;
-    Tick done =
-        ledger_.book(at, bytes, eventQueue().ledgerWatermark());
-    if (bytes == 0)
-        return saturatingAddTicks(at, accessLatency_);
-    Tick completion = saturatingAddTicks(done, accessLatency_);
-    Tick unqueued = saturatingAddTicks(at, serviceTime(bytes));
-    if (completion > unqueued)
-        waitTicks_ += static_cast<double>(completion - unqueued);
-    return completion;
+    Tick done = 0;
+    transferSeries(&at, 1, bytes, &done);
+    return done;
+}
+
+void
+BandwidthResource::transferSeries(const Tick *starts, std::size_t n,
+                                  std::uint64_t bytes, Tick *done)
+{
+    if (n == 0)
+        return;
+    panicIf(starts[0] < curTick(), "transfer in the past on '", name(),
+            "'");
+    ledger_.bookSeries(starts, n, bytes, eventQueue().ledgerWatermark(),
+                       done);
+    const Tick service = serviceTime(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+        bytesMoved_ += static_cast<double>(bytes);
+        ++transfers_;
+        if (bytes == 0) {
+            done[i] = saturatingAddTicks(starts[i], accessLatency_);
+            continue;
+        }
+        const Tick completion = saturatingAddTicks(done[i], accessLatency_);
+        const Tick unqueued = saturatingAddTicks(starts[i], service);
+        if (completion > unqueued)
+            waitTicks_ += static_cast<double>(completion - unqueued);
+        done[i] = completion;
+    }
 }
 
 } // namespace dtu

@@ -58,6 +58,15 @@ class BandwidthResource : public SimObject
      */
     Tick transferAt(Tick at, std::uint64_t bytes);
 
+    /**
+     * @p n transfers of @p bytes each, entering the queue at the
+     * non-decreasing @p starts (each >= now), booked in order exactly
+     * as n transferAt() calls would be; writes each completion to
+     * @p done.
+     */
+    void transferSeries(const Tick *starts, std::size_t n,
+                        std::uint64_t bytes, Tick *done);
+
     /** Tick at which the pipe next becomes idle. */
     Tick freeAt() const { return ledger_.freeAt(); }
 

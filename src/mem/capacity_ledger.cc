@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 namespace dtu
 {
@@ -16,6 +17,18 @@ constexpr double kMinAvail = 1e-12;
 constexpr std::uint64_t kMaxBucket = maxTick / CapacityLedger::kBucketTicks;
 
 } // namespace
+
+CapacityLedger::CapacityLedger(double bytes_per_second)
+    : bytesPerSecond_(bytes_per_second),
+      cap_(bytes_per_second * ticksToSeconds(kBucketTicks))
+{
+    // cap_ = sig * 2^(exp - 53) with an integer significand sig, so
+    // its lowest set bit is 2^(exp - 53 + ctz(sig)).
+    int exp = 0;
+    const auto sig = static_cast<std::uint64_t>(
+        std::ldexp(std::frexp(cap_, &exp), 53));
+    exactBelow_ = sig ? std::ldexp(1.0, exp + std::countr_zero(sig)) : 0.0;
+}
 
 CapacityLedger::Page &
 CapacityLedger::pageFor(std::uint64_t page_no)
@@ -54,14 +67,35 @@ CapacityLedger::retireBelow(std::uint64_t page_no)
     }
 }
 
-Tick
-CapacityLedger::book(Tick at, std::uint64_t bytes, Tick watermark)
+void
+CapacityLedger::raiseWatermark(Tick watermark)
 {
     if (watermark > watermark_) {
         if (watermark / kPageTicks > watermark_ / kPageTicks)
             retireBelow(watermark / kPageTicks);
         watermark_ = watermark;
     }
+}
+
+Tick
+CapacityLedger::book(Tick at, std::uint64_t bytes, Tick watermark)
+{
+    raiseWatermark(watermark);
+    return walk(at, bytes);
+}
+
+void
+CapacityLedger::bookSeries(const Tick *starts, std::size_t n,
+                           std::uint64_t bytes, Tick watermark, Tick *done)
+{
+    raiseWatermark(watermark);
+    for (std::size_t i = 0; i < n; ++i)
+        done[i] = walk(starts[i], bytes);
+}
+
+Tick
+CapacityLedger::walk(Tick at, std::uint64_t bytes)
+{
     // Time below the watermark is closed: late work waits for it.
     at = std::max(at, watermark_);
     if (bytes == 0)
@@ -72,13 +106,12 @@ CapacityLedger::book(Tick at, std::uint64_t bytes, Tick watermark)
     const double first_frac =
         1.0 - static_cast<double>(at - first * kBucketTicks) /
                   static_cast<double>(kBucketTicks);
-    Tick done = at;
     std::uint64_t idx = first;
+    // Bytes booked in the last bucket filled so far.
+    double last_used = 0.0;
     while (remaining > 0.0) {
-        if (idx >= kMaxBucket) {
-            done = maxTick;
+        if (idx >= kMaxBucket)
             break;
-        }
         if (idx / kPageBuckets != cachedPageNo_) {
             cachedPageNo_ = idx / kPageBuckets;
             cachedPage_ = &pageFor(cachedPageNo_);
@@ -116,12 +149,28 @@ CapacityLedger::book(Tick at, std::uint64_t bytes, Tick watermark)
             ++idx;
             continue;
         }
-        // Every bucket of the run but the last takes a whole cap_. The
-        // loop repeats the per-bucket subtraction so `remaining` rounds
-        // exactly as a bucket-by-bucket walk would.
+        // Every bucket of the run but the last takes a whole cap_:
+        // `remaining` must round as k repeated `remaining -= cap_`, for
+        // the largest k < run with k * cap_ < remaining. Below
+        // exactBelow_ each of those subtractions is exact, so one
+        // subtraction of k * cap_ (itself exact) gives the same double.
         std::uint64_t n = 1;
-        for (; n < run && remaining > cap_; ++n)
-            remaining -= cap_;
+        if (run > 1 && remaining < exactBelow_) {
+            auto k = std::min<std::uint64_t>(
+                run - 1, static_cast<std::uint64_t>(remaining / cap_));
+            // The quotient can round across an integer; the products
+            // are exact, so these compares settle k.
+            if (k > 0 && static_cast<double>(k) * cap_ >= remaining)
+                --k;
+            else if (k < run - 1 &&
+                     static_cast<double>(k + 1) * cap_ < remaining)
+                ++k;
+            remaining -= static_cast<double>(k) * cap_;
+            n += k;
+        } else {
+            for (; n < run && remaining > cap_; ++n)
+                remaining -= cap_;
+        }
         const double take = std::min(avail, remaining);
         used += take;
         remaining -= take;
@@ -141,16 +190,21 @@ CapacityLedger::book(Tick at, std::uint64_t bytes, Tick watermark)
                 page.partials.pop_back();
             }
         }
-        // Buckets drain front-to-back: the last byte lands at the
-        // filled fraction of the last bucket.
         idx += n;
-        done = saturatingAddTicks(
-            (idx - 1) * kBucketTicks,
-            static_cast<Tick>(used / cap_ *
-                                  static_cast<double>(kBucketTicks) +
-                              0.5));
+        last_used = used;
     }
-    done = std::max(done, at);
+    // Buckets drain front-to-back: the last byte lands at the filled
+    // fraction of the last bucket, idx - 1. Bytes still unbooked ran
+    // past the last bucket that completes before maxTick.
+    const Tick done =
+        remaining > 0.0
+            ? maxTick
+            : std::max(at, saturatingAddTicks(
+                               (idx - 1) * kBucketTicks,
+                               static_cast<Tick>(
+                                   last_used / cap_ *
+                                       static_cast<double>(kBucketTicks) +
+                                   0.5)));
     freeAt_ = std::max(freeAt_, done);
     return done;
 }

@@ -42,10 +42,7 @@ class CapacityLedger
     static constexpr std::uint64_t kPageBuckets = 4096;
     static constexpr Tick kPageTicks = kPageBuckets * kBucketTicks;
 
-    explicit CapacityLedger(double bytes_per_second)
-        : bytesPerSecond_(bytes_per_second),
-          cap_(bytes_per_second * ticksToSeconds(kBucketTicks))
-    {}
+    explicit CapacityLedger(double bytes_per_second);
 
     /**
      * Book @p bytes starting no earlier than @p at or the highest
@@ -55,6 +52,14 @@ class CapacityLedger
      *         (the start for zero bytes, which books nothing).
      */
     Tick book(Tick at, std::uint64_t bytes, Tick watermark = 0);
+
+    /**
+     * Book @p n transfers of @p bytes each, at the non-decreasing
+     * @p starts in order, exactly as n book() calls with the same
+     * @p watermark would, and write each completion to @p done.
+     */
+    void bookSeries(const Tick *starts, std::size_t n, std::uint64_t bytes,
+                    Tick watermark, Tick *done);
 
     double bytesPerSecond() const { return bytesPerSecond_; }
 
@@ -95,9 +100,21 @@ class CapacityLedger
     /** Retire every page below @p page_no. */
     void retireBelow(std::uint64_t page_no);
 
+    /** Keep the highest watermark, retiring the pages it passed. */
+    void raiseWatermark(Tick watermark);
+
+    /** One booking at or after the watermark (see book()). */
+    Tick walk(Tick at, std::uint64_t bytes);
+
     double bytesPerSecond_;
     /** Capacity of one bucket in bytes. */
     double cap_;
+    /**
+     * Below this many bytes, `remaining - k * cap_` is exactly k
+     * repeated `remaining -= cap_` (DESIGN.md §4b): 2^(q+53), where
+     * 2^q is the lowest set bit of cap_.
+     */
+    double exactBelow_;
     PageMap pages_;
     /** Retired page nodes, reset on reuse; at most kSparePages. */
     std::vector<PageMap::node_type> spares_;

@@ -42,22 +42,40 @@ Tick
 Sram::accessAt(Tick at, unsigned port, unsigned affine_port,
                std::uint64_t bytes)
 {
+    Tick done = 0;
+    accessSeries(&at, 1, port, affine_port, bytes, &done);
+    return done;
+}
+
+void
+Sram::accessSeries(const Tick *starts, std::size_t n, unsigned port,
+                   unsigned affine_port, std::uint64_t bytes, Tick *done)
+{
     panicIf(port >= ports_.size(), "port ", port, " out of range on '",
             name(), "'");
     bool remote = port != affine_port;
-    if (remote)
-        ++remoteAccesses_;
-    else
-        ++localAccesses_;
-    Tick done = ports_[port]->transferAt(at, bytes);
-    return remote ? saturatingAddTicks(done, remotePenalty_) : done;
+    (remote ? remoteAccesses_ : localAccesses_) += static_cast<double>(n);
+    ports_[port]->transferSeries(starts, n, bytes, done);
+    if (remote) {
+        for (std::size_t i = 0; i < n; ++i)
+            done[i] = saturatingAddTicks(done[i], remotePenalty_);
+    }
 }
 
 Tick
 Sram::dmaAccessAt(Tick at, std::uint64_t bytes)
 {
+    Tick done = 0;
+    dmaAccessSeries(&at, 1, bytes, &done);
+    return done;
+}
+
+void
+Sram::dmaAccessSeries(const Tick *starts, std::size_t n,
+                      std::uint64_t bytes, Tick *done)
+{
     panicIf(!dmaPort_, "SRAM '", name(), "' has no DMA fill port");
-    return dmaPort_->transferAt(at, bytes);
+    dmaPort_->transferSeries(starts, n, bytes, done);
 }
 
 unsigned

@@ -58,6 +58,15 @@ class Sram : public SimObject
     Tick accessAt(Tick at, unsigned port, unsigned affine_port,
                   std::uint64_t bytes);
 
+    /**
+     * @p n accesses of @p bytes each at the non-decreasing @p starts,
+     * in order, as n accessAt() calls; writes each completion to
+     * @p done.
+     */
+    void accessSeries(const Tick *starts, std::size_t n, unsigned port,
+                      unsigned affine_port, std::uint64_t bytes,
+                      Tick *done);
+
     /** The port with the earliest free time (for DMA traffic). */
     unsigned leastLoadedPort() const;
 
@@ -69,6 +78,10 @@ class Sram : public SimObject
      * contend with the core-bonded ports.
      */
     Tick dmaAccessAt(Tick at, std::uint64_t bytes);
+
+    /** dmaAccessAt() for a series, as accessSeries(). */
+    void dmaAccessSeries(const Tick *starts, std::size_t n,
+                         std::uint64_t bytes, Tick *done);
 
     /** Port-level resource, for utilization queries. */
     const BandwidthResource &port(unsigned i) const { return *ports_.at(i); }

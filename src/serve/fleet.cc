@@ -376,15 +376,7 @@ Fleet::serveParallel(const std::vector<Request> &trace,
     WorkerPool pool(threads);
     Tick now = start;
 
-    auto settleAll = [&](Tick at) {
-        pool.parallelFor(n, [&](unsigned i) {
-            ScopedLogDevice log_dev(static_cast<int>(i));
-            devices_[i]->settle(at);
-        });
-    };
-
     admit_up_to(now);
-    settleAll(now);
     while (true) {
         // The next arrival bounds the window: devices interact only
         // through routing and admission, so between arrivals each
@@ -396,10 +388,13 @@ Fleet::serveParallel(const std::vector<Request> &trace,
         pool.parallelFor(n, [&](unsigned i) {
             Scheduler &dev = *devices_[i];
             ScopedLogDevice log_dev(static_cast<int>(i));
-            // Advance through the device's own events inside the
-            // window. Each visited tick replays the serial driver's
-            // advance/settle pair; ticks the serial driver visited
-            // for *other* devices are no-ops here by idempotence.
+            // Settle what admission at the window's start queued (the
+            // serial loop's settle after admit), then advance through
+            // the device's own events inside the window. Each visited
+            // tick replays the serial loop's advance/settle pair;
+            // ticks the serial loop visited for *other* devices are
+            // no-ops here by idempotence.
+            dev.settle(from);
             Tick t = from;
             for (;;) {
                 Tick tn = dev.nextEvent(t);
@@ -419,7 +414,6 @@ Fleet::serveParallel(const std::vector<Request> &trace,
             break;
         now = barrier;
         admit_up_to(now);
-        settleAll(now);
     }
     std::size_t stuck = 0;
     for (const auto &dev : devices_)

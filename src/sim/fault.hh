@@ -32,6 +32,7 @@
 #ifndef DTU_SIM_FAULT_HH
 #define DTU_SIM_FAULT_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -188,11 +189,19 @@ class FaultInjector
     /** Bounded retries per descriptor. */
     unsigned dmaMaxRetries() const { return config_.dmaMaxRetries; }
 
-    /** Backoff before retry number @p attempt (exponential). */
+    /**
+     * Backoff before retry number @p attempt (exponential), saturating
+     * at maxTick once the doubling would overflow.
+     */
     Tick
     dmaBackoff(unsigned attempt) const
     {
-        return config_.dmaRetryBackoffTicks << attempt;
+        const Tick base = config_.dmaRetryBackoffTicks;
+        if (base == 0)
+            return 0;
+        return attempt > static_cast<unsigned>(std::countl_zero(base))
+                   ? maxTick
+                   : base << attempt;
     }
 
     /** Count one retry the engine issued. */

@@ -246,6 +246,57 @@ TEST(FaultHooksTest, DmaRetriesWithBackoffThenExhausts)
     EXPECT_DOUBLE_EQ(faulty.stats().lookup("fault.dma_retries"), 2.0);
 }
 
+TEST(FaultHooksTest, DmaRetryNearMaxTickNeverEndsBeforeItStarts)
+{
+    Dtu chip(dtu2Config());
+    FaultConfig config;
+    config.dmaTransientRate = 1.0;
+    config.dmaMaxRetries = 2;
+    chip.installFaults(config);
+
+    DmaDescriptor desc;
+    desc.src = MemLevel::L3;
+    desc.dst = MemLevel::L2;
+    desc.bytes = 1 << 20;
+    // The configuration cost, the transfer and the backoff all run
+    // past maxTick: every sum saturates instead of wrapping.
+    const Tick start = maxTick - 1000;
+    DmaResult r = chip.group(0).dma().submitAt(start, desc);
+    EXPECT_EQ(r.retries, 2u);
+    EXPECT_EQ(r.done, maxTick);
+}
+
+TEST(FaultHooksTest, DmaBackoffSaturatesPastSixtyFourRetries)
+{
+    FaultConfig config;
+    config.dmaRetryBackoffTicks = 1'000'000;
+    FaultInjector injector(config);
+    EXPECT_EQ(injector.dmaBackoff(0), 1'000'000u);
+    EXPECT_EQ(injector.dmaBackoff(44), Tick{1'000'000} << 44);
+    EXPECT_EQ(injector.dmaBackoff(45), maxTick);
+    EXPECT_EQ(injector.dmaBackoff(64), maxTick);
+    EXPECT_EQ(injector.dmaBackoff(1000), maxTick);
+    config.dmaRetryBackoffTicks = 1;
+    EXPECT_EQ(FaultInjector(config).dmaBackoff(63), Tick{1} << 63);
+    EXPECT_EQ(FaultInjector(config).dmaBackoff(64), maxTick);
+
+    // Seventy doubling retries from a 1 us backoff: the later ones
+    // wait until maxTick rather than wrapping back to early ticks.
+    Dtu chip(dtu2Config());
+    config.dmaTransientRate = 1.0;
+    config.dmaMaxRetries = 70;
+    config.dmaRetryBackoffTicks = 1'000'000;
+    chip.installFaults(config);
+    DmaDescriptor desc;
+    desc.src = MemLevel::L3;
+    desc.dst = MemLevel::L2;
+    desc.bytes = 1 << 20;
+    DmaResult r = chip.group(0).dma().submitAt(0, desc);
+    EXPECT_EQ(r.retries, 70u);
+    EXPECT_EQ(r.done, maxTick);
+    EXPECT_EQ(chip.faults()->count(FaultKind::DmaRetryExhausted), 1u);
+}
+
 TEST(FaultHooksTest, ThermalEpisodeCapsExecutorClock)
 {
     auto run = [](bool throttled) {

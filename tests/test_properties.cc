@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "compiler/lowering.hh"
 #include "core/matrix_engine.hh"
@@ -832,6 +833,155 @@ TEST(CapacityLedgerProperty, RandomOutOfOrderTransfersMatchPerBucketWalk)
             EXPECT_EQ(pipe.totalWait(), ref.pipeWait_);
             EXPECT_GT(ref.linkWait_, 0u);
             EXPECT_EQ(transfers, 100'007u);
+        }
+    }
+}
+
+//
+// Series booking. A repeat-DMA run books its transactions on each pipe
+// as one bookSeries()/transferSeries() call; that must equal booking
+// them one at a time, in order, on the reference walk. The series here
+// hold long empty runs (the walk's closed-form fill), cross word and
+// page edges, start below a rising watermark, and run into maxTick.
+//
+
+TEST(CapacityLedgerProperty, SeriesMatchesOneBookingAtATime)
+{
+    constexpr Tick kBucket = CapacityLedger::kBucketTicks;
+    constexpr Tick kPage = CapacityLedger::kPageTicks;
+    constexpr Tick kLatency = 1'500;
+    for (double gbps : {83.2, 819.0 / 8, 32.0, 100.0 / 3}) {
+        for (bool rising : {false, true}) {
+            for (std::uint64_t seed : {5u, 9u}) {
+                SCOPED_TRACE(testing::Message()
+                             << gbps << " GB/s, seed " << seed
+                             << (rising ? ", rising watermark" : ""));
+                const double bps = gbps * 1e9;
+                RefLedger ref(bps);
+                CapacityLedger ledger(bps);
+                EventQueue queue;
+                BandwidthResource pipe("prop.pipe", queue, nullptr, bps,
+                                       kLatency);
+                const double cap = ref.bucketBytes();
+                auto bucketsOf = [&](double n) {
+                    return static_cast<std::uint64_t>(n * cap);
+                };
+                Tick watermark = 0;
+                std::vector<Tick> starts;
+                std::vector<Tick> done;
+                std::vector<Tick> pipe_done;
+                // Book `starts` as one series on the ledger and the
+                // pipe, and one at a time on the reference.
+                auto series = [&](std::uint64_t bytes) {
+                    done.assign(starts.size(), 0);
+                    pipe_done.assign(starts.size(), 0);
+                    ledger.bookSeries(starts.data(), starts.size(), bytes,
+                                      watermark, done.data());
+                    pipe.transferSeries(starts.data(), starts.size(), bytes,
+                                        pipe_done.data());
+                    for (std::size_t i = 0; i < starts.size(); ++i) {
+                        const Tick expect =
+                            ref.book(std::max(starts[i], watermark), bytes);
+                        EXPECT_EQ(done[i], expect)
+                            << "at " << starts[i] << " bytes " << bytes;
+                        if (expect == maxTick)
+                            EXPECT_EQ(pipe_done[i], maxTick);
+                        else
+                            EXPECT_EQ(pipe_done[i],
+                                      ref.pipeCompletion(starts[i], bytes,
+                                                         expect, kLatency))
+                                << "at " << starts[i] << " bytes " << bytes;
+                    }
+                    EXPECT_EQ(ledger.freeAt(), ref.freeAt_);
+                    EXPECT_EQ(pipe.freeAt(), ref.freeAt_);
+                };
+
+                Random rng(seed);
+                Tick window = 2 * kPage;
+                for (unsigned s = 0; s < 2'000; ++s) {
+                    const double size = rng.uniform();
+                    std::uint64_t bytes;
+                    if (size < 0.03)
+                        bytes = 0;
+                    else if (size < 0.4)
+                        bytes = 1 + rng.below(bucketsOf(1));
+                    else if (size < 0.8)
+                        bytes = 1 + rng.below(bucketsOf(64));
+                    else if (size < 0.999)
+                        bytes = 1 + rng.below(bucketsOf(300));
+                    else // several pages
+                        bytes = bucketsOf(CapacityLedger::kPageBuckets *
+                                          rng.uniform(1.0, 2.0));
+                    const std::uint64_t n =
+                        1 + rng.below(bytes > bucketsOf(8)       ? 6
+                                      : rng.uniform() < 0.5 ? 8
+                                                            : 80);
+                    if (rising && rng.uniform() < 0.3) {
+                        watermark = std::max(
+                            watermark, window - rng.below(200 * kBucket));
+                        queue.raiseLedgerWatermark(watermark);
+                    }
+                    Tick at = window + rng.below(64 * kBucket);
+                    const double where = rng.uniform();
+                    if (where < 0.1)
+                        at += kPage - at % kPage - rng.below(8 * kBucket);
+                    else if (where < 0.2)
+                        at = window + kPage + rng.below(kPage); // fresh
+                    else if (where < 0.3 && watermark)
+                        at = watermark - rng.below(std::min(
+                                             watermark, 16 * kBucket));
+                    starts.assign(1, at);
+                    for (std::uint64_t i = 1; i < n; ++i) {
+                        const double gap = rng.uniform();
+                        at += gap < 0.3   ? 0
+                              : gap < 0.9 ? rng.below(2 * kBucket)
+                                          : rng.below(40 * kBucket);
+                        starts.push_back(at);
+                    }
+                    series(bytes);
+                    if (HasFailure())
+                        return;
+                    // Keep the offered load near 0.6 so the backlog,
+                    // which the reference walks bucket by bucket,
+                    // stays short.
+                    window += rng.below(40 * kBucket) +
+                              static_cast<Tick>(
+                                  1.6 * static_cast<double>(n * bytes) /
+                                  cap * static_cast<double>(kBucket));
+                }
+                EXPECT_EQ(pipe.totalWait(), ref.pipeWait_);
+                EXPECT_GT(ref.pipeWait_, 0.0);
+
+                // Bucket for bucket, every live page holds what the
+                // dense reference does; pages below the watermark are
+                // retired.
+                std::uint64_t mismatched = 0;
+                for (const auto &[page_no, page] : ref.pages_) {
+                    if (page_no < watermark / kPage)
+                        continue;
+                    for (std::uint64_t slot = 0;
+                         slot < RefLedger::kPageBuckets; ++slot) {
+                        const double used = (*page)[slot];
+                        const double expect =
+                            cap - used > 1e-12
+                                ? used
+                                : std::numeric_limits<double>::infinity();
+                        const std::uint64_t bucket =
+                            page_no * RefLedger::kPageBuckets + slot;
+                        if (CapacityLedgerProbe::booked(ledger, bucket) !=
+                            expect)
+                            ++mismatched;
+                    }
+                }
+                EXPECT_EQ(mismatched, 0u);
+
+                // A series that runs past the last bucket completing
+                // before maxTick saturates there, booking for booking.
+                const Tick end = (maxTick / kBucket - 3) * kBucket;
+                starts = {end + 7, end + 7, end + kBucket, end + 3 * kBucket};
+                series(bucketsOf(2.5));
+                EXPECT_EQ(done.back(), maxTick);
+            }
         }
     }
 }
