@@ -25,7 +25,7 @@
  * --max-devices caps the sweep (CI smoke uses 2); --requests scales
  * the per-device trace length; --weight-gbps > 0 additionally
  * models first-placement PCIe weight loads at that bandwidth.
- * --threads drives every fleet with that many worker threads
+ * --threads drives every fleet with that many threads
  * (FleetConfig::threads) and adds a serial-vs-parallel A/B at the
  * largest size that fatals unless the two reports are byte-identical.
  *

@@ -20,13 +20,13 @@
  * regardless of topology — that is what makes concurrent placements
  * contend (and what the scalar weightLoadGbps cost model got wrong).
  *
- * Thread-safety contract (mirrors the conservative time-window fleet
- * loop): the root-complex link is only touched from the fleet thread
- * (admission barriers). Peer links belong to exactly one placement
- * group, and each group is driven by exactly one scheduler, i.e. one
- * worker thread. Under SharedRoot, peer traffic from group schedulers
- * would hit the shared root link from worker threads, so the fleet
- * falls back to serial execution for that combination.
+ * Thread-safety contract (mirrors the fleet's lanes, see
+ * serve/fleet.hh): the root-complex link is only touched from the
+ * fleet thread (weight loads at admission). Peer links belong to
+ * exactly one placement group, and each group's traffic runs as tasks
+ * on that group's one FIFO lane. Under SharedRoot, peer traffic from
+ * lane tasks would hit the shared root link the fleet thread books,
+ * so the fleet falls back to serial execution for that combination.
  */
 
 #ifndef DTU_FABRIC_FABRIC_HH
@@ -204,7 +204,7 @@ class Fabric
 
     /**
      * True when group peer traffic would cross the shared root link
-     * from worker threads — the fleet must then run serially.
+     * from lane tasks — the fleet must then run serially.
      */
     bool peerTrafficSharesRoot() const
     {

@@ -122,10 +122,21 @@ CapacityLedger::walk(Tick at, std::uint64_t bytes)
         std::uint64_t &occupied = page.occupied[slot / 64];
         const unsigned shift = slot % 64;
 
-        // Saturated buckets take nothing: skip them a word at a time.
+        // Saturated buckets take nothing: skip to the next open one,
+        // through the page's following all-saturated words in one go.
         const std::uint64_t open = ~saturated >> shift;
         if (!(open & 1)) {
-            idx += open ? std::countr_zero(open) : 64 - shift;
+            if (open) {
+                idx += std::countr_zero(open);
+                continue;
+            }
+            std::size_t word = slot / 64 + 1;
+            while (word < page.saturated.size() &&
+                   !~page.saturated[word])
+                ++word;
+            idx += word * 64 - slot;
+            if (word < page.saturated.size())
+                idx += std::countr_zero(~page.saturated[word]);
             continue;
         }
 

@@ -15,6 +15,7 @@
 #ifndef DTU_POWER_CPME_HH
 #define DTU_POWER_CPME_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -98,6 +99,14 @@ class Cpme
 
     /** Current core frequency (Hz). */
     double frequency() const { return policy_.ladderHz[ladderIndex_]; }
+
+    /** Highest ladder frequency (Hz); the policy never changes it. */
+    double
+    peakFrequency() const
+    {
+        return *std::max_element(policy_.ladderHz.begin(),
+                                 policy_.ladderHz.end());
+    }
 
     /** Observation + Evaluation + Decision + Action. */
     double onWindow(const ActivitySample &aggregate);

@@ -16,6 +16,40 @@
 namespace dtu
 {
 
+namespace
+{
+
+/**
+ * Core cycles operator @p op needs with its work split over
+ * @p cores cores, before throttle bubbles: the matrix engine at the
+ * tensorized utilization, co-issued with the vector and SPU engines on
+ * the VLIW pipeline.
+ */
+double
+computeCycles(const PlannedOp &op, DType dtype, bool dtu2,
+              unsigned cores)
+{
+    double macs_per_core = op.macs / cores;
+    double spu_per_core = op.spuOps / cores;
+    double vec_per_core = op.vecOps / cores;
+    double matrix_cycles =
+        macs_per_core / (MatrixEngine::macsPerCycle(dtype, dtu2) *
+                         std::max(0.05, op.utilization));
+    double spu_cycles = spu_per_core / Spu::resultsPerCycle(dtype, dtu2);
+    double vec_cycles = vec_per_core / vectorLanes(dtype);
+    return std::max(matrix_cycles, spu_cycles + vec_cycles) + 256.0;
+}
+
+/** @p cycles at @p hz, rounded to the nearest tick. */
+Tick
+cyclesToTicks(double cycles, double hz)
+{
+    return static_cast<Tick>(
+        cycles * static_cast<double>(ticksPerSecond) / hz + 0.5);
+}
+
+} // namespace
+
 Executor::Executor(Dtu &dtu, std::vector<unsigned> groups,
                    ExecOptions options)
     : dtu_(dtu), groups_(std::move(groups)), options_(options)
@@ -30,6 +64,27 @@ Executor::cores() const
 {
     return static_cast<unsigned>(groups_.size()) *
            dtu_.config().coresPerGroup;
+}
+
+Tick
+Executor::minLatency(const ExecutionPlan &plan) const
+{
+    // run() charges every operator at least its launch overhead plus
+    // its compute ticks. Those are smallest at the fastest clock the
+    // chip can run (the pinned maxHz with power management off, the
+    // DVFS ladder top with it on; thermal caps only lower it) and with
+    // no throttle bubbles; cyclesToTicks is monotone in both.
+    const DtuConfig &config = dtu_.config();
+    const double peak_hz =
+        std::max(config.maxHz, dtu_.cpme().peakFrequency());
+    Tick floor = 0;
+    for (const PlannedOp &op : plan.ops) {
+        floor += config.opLaunchOverheadTicks +
+                 cyclesToTicks(computeCycles(op, plan.dtype, config.dtu2,
+                                             cores()),
+                               peak_hz);
+    }
+    return floor;
 }
 
 ExecResult
@@ -306,17 +361,8 @@ Executor::run(const ExecutionPlan &plan, Tick start)
         // the vector/SPU engines co-issue on the VLIW pipeline.
         //
         double macs_per_core = op.macs / total_cores;
-        double spu_per_core = op.spuOps / total_cores;
-        double vec_per_core = op.vecOps / total_cores;
-        double matrix_cycles =
-            macs_per_core /
-            (MatrixEngine::macsPerCycle(plan.dtype, config.dtu2) *
-             std::max(0.05, op.utilization));
-        double spu_cycles =
-            spu_per_core / Spu::resultsPerCycle(plan.dtype, config.dtu2);
-        double vec_cycles = vec_per_core / vectorLanes(plan.dtype);
         double compute_cycles =
-            std::max(matrix_cycles, spu_cycles + vec_cycles) + 256.0;
+            computeCycles(op, plan.dtype, config.dtu2, total_cores);
         compute_cycles *= 1.0 + throttle;
 
         Tick dma_in_ticks = dma_in_done - code_ready;
@@ -362,9 +408,7 @@ Executor::run(const ExecutionPlan &plan, Tick start)
         // The ladder state is untouched: the cap lifts by itself when
         // the episode ends.
         freq = dtu_.cpme().thermalCappedHz(op_start, freq);
-        auto compute_ticks = static_cast<Tick>(
-            compute_cycles * static_cast<double>(ticksPerSecond) / freq +
-            0.5);
+        const Tick compute_ticks = cyclesToTicks(compute_cycles, freq);
         // Deposit this window's analytic activity into the per-core
         // PMU counters (compute_cycles already carries the throttle
         // bubbles, so split the bubble share back out).

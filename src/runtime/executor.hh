@@ -158,6 +158,15 @@ class Executor
     /** Execute a plan starting no earlier than @p start. */
     ExecResult run(const ExecutionPlan &plan, Tick start = 0);
 
+    /**
+     * A lower bound on run(plan, t).end - t on this lease, whatever
+     * the chip's state, power management, throttling or faults: the
+     * sum of every operator's launch overhead and its compute ticks at
+     * the chip's peak clock with no throttle. A pure function of the
+     * plan, the chip config and the lease size.
+     */
+    Tick minLatency(const ExecutionPlan &plan) const;
+
     const ExecOptions &options() const { return options_; }
     unsigned cores() const;
 

@@ -9,7 +9,7 @@
 #include "serve/arrival.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/worker_pool.hh"
+#include "sim/lane_executor.hh"
 #include "soc/dtu.hh"
 
 namespace dtu
@@ -165,8 +165,7 @@ Fleet::Fleet(std::vector<Member> members, FleetConfig config)
         devices_.push_back(std::make_unique<Scheduler>(
             *m.dtu, *m.manager, config_.serving));
         if (config_.sharePlans)
-            devices_.back()->sharePlanCache(&sharedPlans_,
-                                            &planMutex_);
+            devices_.back()->sharePlanCache(&sharedPlans_);
         view_.push_back(devices_.back().get());
     }
     rebuildFabric();
@@ -223,8 +222,8 @@ Fleet::effectiveThreads() const
     }
     if (threads > 1 && fabric_ && fabric_->peerTrafficSharesRoot()) {
         warn("shared-root fabric topologies route group collectives "
-             "over the shared root link, which worker threads would "
-             "race on; serving with threads=1");
+             "over the shared root link, which the fleet thread books "
+             "weight loads on; serving with threads=1");
         return 1;
     }
     return threads;
@@ -287,12 +286,21 @@ Fleet::serve(std::vector<Request> trace)
         }
     };
 
-    const unsigned threads = effectiveThreads();
-    if (threads > 1) {
-        now = serveParallel(trace, threads, now, next_arrival,
-                            admitUpTo);
-        return buildReport(offered, routed);
-    }
+    // Each device's chip-side work runs on its own lane. The guard
+    // detaches the devices after the lanes' helpers are joined, also
+    // when a FatalError unwinds the loop.
+    struct Detach
+    {
+        std::vector<std::unique_ptr<Scheduler>> &devices;
+        ~Detach()
+        {
+            for (auto &dev : devices)
+                dev->setLanes(nullptr, 0);
+        }
+    } detach{devices_};
+    LaneExecutor lanes(effectiveThreads(), static_cast<unsigned>(n));
+    for (unsigned i = 0; i < n; ++i)
+        devices_[i]->setLanes(&lanes, i);
 
     admitUpTo(now);
     for (unsigned i = 0; i < n; ++i) {
@@ -354,6 +362,8 @@ Fleet::serve(std::vector<Request> trace)
         if (sloMon_)
             sloMon_->advanceTo(now);
     }
+    for (unsigned i = 0; i < n; ++i)
+        lanes.drain(i);
     Tick last_completion = 0;
     for (const auto &dev : devices_)
         last_completion =
@@ -364,63 +374,6 @@ Fleet::serve(std::vector<Request> trace)
         energyMon_->endRun(std::max(now, last_completion));
 
     return buildReport(offered, routed);
-}
-
-Tick
-Fleet::serveParallel(const std::vector<Request> &trace,
-                     unsigned threads, Tick start,
-                     std::size_t &next_arrival,
-                     const std::function<void(Tick)> &admit_up_to)
-{
-    const unsigned n = static_cast<unsigned>(devices_.size());
-    WorkerPool pool(threads);
-    Tick now = start;
-
-    admit_up_to(now);
-    while (true) {
-        // The next arrival bounds the window: devices interact only
-        // through routing and admission, so between arrivals each
-        // device's simulation is causally independent of the others.
-        const Tick barrier = next_arrival < trace.size()
-                                 ? trace[next_arrival].arrival
-                                 : kNever;
-        const Tick from = now;
-        pool.parallelFor(n, [&](unsigned i) {
-            Scheduler &dev = *devices_[i];
-            ScopedLogDevice log_dev(static_cast<int>(i));
-            // Settle what admission at the window's start queued (the
-            // serial loop's settle after admit), then advance through
-            // the device's own events inside the window. Each visited
-            // tick replays the serial loop's advance/settle pair;
-            // ticks the serial loop visited for *other* devices are
-            // no-ops here by idempotence.
-            dev.settle(from);
-            Tick t = from;
-            for (;;) {
-                Tick tn = dev.nextEvent(t);
-                if (tn >= barrier)
-                    break;
-                t = tn;
-                dev.advanceCompletions(t);
-                dev.settle(t);
-            }
-            // Retire work completing exactly at the barrier before
-            // the router reads device state (serial order: advance
-            // all devices, then admit, then settle).
-            if (barrier != kNever)
-                dev.advanceCompletions(barrier);
-        });
-        if (barrier == kNever)
-            break;
-        now = barrier;
-        admit_up_to(now);
-    }
-    std::size_t stuck = 0;
-    for (const auto &dev : devices_)
-        stuck += dev->queueDepth() + dev->decodeReadyCount();
-    fatalIf(stuck != 0, "fleet serving deadlock: ", stuck,
-            " queued requests but no future event");
-    return now;
 }
 
 FleetReport

@@ -12,19 +12,20 @@
  * cross-device ordering is deterministic and a size-1 fleet
  * reproduces the single-device Scheduler::serve() path bit-for-bit.
  *
- * With FleetConfig::threads > 1 the driver becomes a conservative
- * time-window scheduler: devices touch each other only through the
- * router at arrival times, so the span between consecutive arrivals
- * is a synchronization window. Inside a window each device advances
- * through its own internal events on its own worker thread (devices
- * share nothing but the mutex-guarded plan cache); at the window
- * barrier the fleet thread routes and admits the due arrivals, then
- * the workers settle. Because the serial loop's per-device steps at
- * ticks belonging to *other* devices are no-ops by construction
- * (settle/advance are idempotent between a device's own events and
- * admissions), the parallel schedule retires exactly the same events
- * at exactly the same simulated ticks — reports are bit-identical to
- * threads=1 at any thread count.
+ * One serial event loop serves every FleetConfig::threads value. The
+ * fleet thread makes every scheduling decision in serial order:
+ * routing, admission, batching, leases, KV pages and outcome order.
+ * Only a launch's chip-side work (Executor::run with its retries, and
+ * the TP/PP fabric overlay) leaves it: each device has one FIFO lane
+ * on a LaneExecutor (sim/lane_executor.hh), whose tasks run on any of
+ * the `threads` workers, the fleet thread included. The fleet thread
+ * first reads a launch's result at the launch's *floor*: the launch
+ * tick plus a sound lower bound on the batch's latency taken from the
+ * plan's compute time (Executor::minLatency). Launches on different
+ * chips are therefore in flight together, while each chip still sees
+ * exactly the serial sequence of operations, so reports are
+ * bit-identical to threads=1 at any thread count. A floor tick that
+ * is not a real event makes advance and settle no-ops.
  *
  * Model placement is explicit: the first time the router assigns a
  * model to a device, the device "places" it, optionally paying a
@@ -54,9 +55,7 @@
 #define DTU_SERVE_FLEET_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -124,18 +123,18 @@ struct FleetConfig
      */
     bool sharePlans = true;
     /**
-     * Worker threads driving the devices, clamped to the fleet size.
-     * 1 (the default) is the classic serial event loop. With more,
-     * each device runs on its own worker under conservative
-     * time-window synchronization: windows span the gaps between
-     * arrival times (the only cross-device coupling — routing reads
-     * device load, placement — happens at arrivals), devices share
-     * nothing inside a window, and every report is bit-identical to
-     * threads=1. Runs with an SLO monitor or request tracer attached
-     * fall back to threads=1 (with a warning): those observers
-     * promise one globally ordered record stream. So do shared-root
-     * fabric topologies under a model-parallel placement, whose peer
-     * traffic would cross the shared root link from worker threads.
+     * Threads executing the devices' launches, the fleet thread
+     * included, clamped to the fleet size. 1 (the default) runs every
+     * launch inline on the fleet thread. With more, launches run on
+     * per-device FIFO lanes while the serial loop goes on until it
+     * reaches a launch's latency floor (see the file comment); every
+     * report is bit-identical to threads=1. Runs with an SLO monitor,
+     * request tracer or energy monitor attached fall back to
+     * threads=1 (with a warning): those observers promise one
+     * globally ordered record stream. So do shared-root fabric
+     * topologies under a model-parallel placement, whose peer traffic
+     * crosses the shared root link the fleet thread books weight
+     * loads on.
      */
     unsigned threads = 1;
     /**
@@ -287,19 +286,8 @@ class Fleet
     void setEnergyMonitor(obs::EnergyMonitor *monitor);
 
   private:
-    /** Worker threads serve() will actually use (clamp + fallback). */
+    /** Threads serve() will actually use (clamp + fallback). */
     unsigned effectiveThreads() const;
-
-    /**
-     * The parallel window loop: per-device worker threads between
-     * arrival-time barriers. @p admit_up_to runs on the fleet thread
-     * at each barrier (routing + admission). Returns the final
-     * barrier time.
-     */
-    Tick serveParallel(const std::vector<Request> &trace,
-                       unsigned threads, Tick start,
-                       std::size_t &next_arrival,
-                       const std::function<void(Tick)> &admit_up_to);
 
     /** Assemble the per-device and fleet-aggregate reports. */
     FleetReport
@@ -317,8 +305,6 @@ class Fleet
     std::unique_ptr<fabric::Fabric> fabric_;
     std::unique_ptr<Router> router_;
     PlanCache sharedPlans_;
-    /** Guards sharedPlans_ while workers compile concurrently. */
-    std::mutex planMutex_;
     obs::SloMonitor *sloMon_ = nullptr;
     obs::RequestTracer *reqTracer_ = nullptr;
     obs::EnergyMonitor *energyMon_ = nullptr;

@@ -24,18 +24,6 @@ namespace
 
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
-/** The per-request completion span, shared by every terminal path. */
-void
-requestSpan(Tracer &tracer, TrackId track, const std::string &model,
-            const RequestOutcome &c)
-{
-    tracer.span(track, model + " #" + std::to_string(c.request.id),
-                "request", c.request.arrival, c.completed,
-                {{"queue_wait_us", ticksToMicroSeconds(c.queueWait())},
-                 {"batch", static_cast<double>(c.batchSize)},
-                 {"missed", c.missedDeadline() ? 1.0 : 0.0}});
-}
-
 } // namespace
 
 Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
@@ -76,43 +64,30 @@ Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
 }
 
 template <typename BuildGraph>
-const ExecutionPlan &
+const CachedPlan &
 Scheduler::cachedPlan(const std::pair<std::string, unsigned> &key,
                       BuildGraph &&build)
 {
     PlanCache &cache = plans();
-    if (!planMutex_) {
-        auto it = cache.find(key);
-        if (it == cache.end())
-            it = cache
-                     .emplace(key, compile(build(), dtu_.config(),
-                                           config_.dtype,
-                                           config_.groupsPerBatch, {},
-                                           static_cast<int>(key.second)))
-                     .first;
-        return it->second;
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+        CachedPlan cp;
+        cp.plan = compile(build(), dtu_.config(), config_.dtype,
+                          config_.groupsPerBatch, {},
+                          static_cast<int>(key.second));
+        // Any lease of groupsPerBatch groups has the same floor; the
+        // executor reads only the chip config and the DVFS ladder.
+        std::vector<unsigned> groups(config_.groupsPerBatch);
+        for (unsigned g = 0; g < groups.size(); ++g)
+            groups[g] = g;
+        cp.floor = Executor(dtu_, std::move(groups), config_.exec)
+                       .minLatency(cp.plan);
+        it = cache.emplace(key, std::move(cp)).first;
     }
-    // Shared cache under parallel fleet workers: look up under the
-    // lock, compile outside it (plans are pure functions of the graph
-    // and chip config, so a concurrent racer just builds a duplicate
-    // and the try_emplace loser is discarded). std::map entries are
-    // reference-stable and never erased, so the returned reference is
-    // safe to use unlocked.
-    {
-        std::lock_guard<std::mutex> lock(*planMutex_);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-    }
-    ExecutionPlan compiled =
-        compile(build(), dtu_.config(), config_.dtype,
-                config_.groupsPerBatch, {},
-                static_cast<int>(key.second));
-    std::lock_guard<std::mutex> lock(*planMutex_);
-    return cache.try_emplace(key, std::move(compiled)).first->second;
+    return it->second;
 }
 
-const ExecutionPlan &
+const CachedPlan &
 Scheduler::plan(const std::string &model, unsigned batch)
 {
     return cachedPlan(std::make_pair(model, batch), [&] {
@@ -120,7 +95,7 @@ Scheduler::plan(const std::string &model, unsigned batch)
     });
 }
 
-const ExecutionPlan &
+const CachedPlan &
 Scheduler::prefillPlan(const std::string &model, unsigned batch,
                       unsigned prompt)
 {
@@ -147,7 +122,7 @@ Scheduler::prefillPlan(const std::string &model, unsigned batch,
         });
 }
 
-const ExecutionPlan &
+const CachedPlan &
 Scheduler::decodePlan(const std::string &model, unsigned batch,
                       unsigned ctx)
 {
@@ -246,6 +221,7 @@ Scheduler::begin(Tick start, const std::map<std::string, unsigned> *future)
     queue_ = RequestQueue();
     genQueue_ = RequestQueue();
     active_.clear();
+    pending_.clear();
     decoding_.clear();
     decodeReady_.clear();
     outcomes_.clear();
@@ -303,7 +279,7 @@ Scheduler::placedWeightBytes(const std::string &model)
 {
     const models::DecoderSpec *spec = models::decoderSpec(model);
     if (!spec)
-        return plan(model, 1).totalWeightBytes();
+        return plan(model, 1).plan.totalWeightBytes();
     if (fabric_ &&
         placement_.mode == PlacementMode::PipelineParallel &&
         placement_.degree > 1) {
@@ -322,14 +298,14 @@ Scheduler::placedWeightBytes(const std::string &model)
                     return models::buildDecoderPrefillStage(
                         model, 1, static_cast<int>(bucketLen(1)), s,
                         stages);
-                });
+                }).plan;
             worst = std::max(worst, sp.totalWeightBytes());
         }
         return worst;
     }
     // Full model, or the per-device shard under tensor parallelism
     // (prefillPlan compiles the sharded graph under a !tp key).
-    return prefillPlan(model, 1, bucketLen(1)).totalWeightBytes();
+    return prefillPlan(model, 1, bucketLen(1)).plan.totalWeightBytes();
 }
 
 void
@@ -364,7 +340,9 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
         for (unsigned i = 0; i < loads; ++i)
             ready = std::max(ready, fabric_->hostLoadAt(start, bytes));
         moved = bytes * loads;
-        dtu_.energy().addFabric(static_cast<double>(moved));
+        onChip([this, moved] {
+            dtu_.energy().addFabric(static_cast<double>(moved));
+        });
     } else {
         const Tick load =
             secondsToTicks(static_cast<double>(bytes) / (gbps * 1e9));
@@ -377,14 +355,16 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
         saturatingAddTicks(weightLoadTicks_, ready - start);
     weightLoadBytes_ += moved;
     if (timeline_) {
-        Tracer &tracer = dtu_.tracer();
-        if (!placeTrackMade_) {
-            placeTrack_ = tracer.track("serve", "placement");
-            placeTrackMade_ = true;
-        }
-        tracer.span(placeTrack_, "load " + model, "weight-load",
-                    start, ready,
-                    {{"bytes", static_cast<double>(moved)}});
+        onChip([this, model, start, ready, moved] {
+            Tracer &tracer = dtu_.tracer();
+            if (!placeTrackMade_) {
+                placeTrack_ = tracer.track("serve", "placement");
+                placeTrackMade_ = true;
+            }
+            tracer.span(placeTrack_, "load " + model, "weight-load",
+                        start, ready,
+                        {{"bytes", static_cast<double>(moved)}});
+        });
     }
     if (reqTracer_)
         reqTracer_->onWeightLoad(deviceId_, model, start, ready,
@@ -444,8 +424,7 @@ Scheduler::shardOverlay(const std::string &model, Tick now,
         // point-to-point activation send crosses each stage boundary.
         // The bubble fraction (d-1)/(d+m-1) falls out of the shape.
         const unsigned m = placement_.microbatches;
-        const Tick t_micro = std::max<Tick>(
-            T / (static_cast<Tick>(d) * m), 1);
+        const Tick t_micro = microbatchTicks(T);
         const std::uint64_t mact =
             std::max<std::uint64_t>(act / m, 1);
         Tick pp_end = saturatingAddTicks(
@@ -478,6 +457,33 @@ Scheduler::shardOverlay(const std::string &model, Tick now,
                                 static_cast<double>(mact));
     }
     return std::max(end, now);
+}
+
+Tick
+Scheduler::microbatchTicks(Tick T) const
+{
+    return std::max<Tick>(
+        T / (static_cast<Tick>(placement_.degree) *
+             placement_.microbatches),
+        1);
+}
+
+Tick
+Scheduler::launchFloor(const std::string &model, Tick now,
+                       Tick plan_floor) const
+{
+    // Compute ends no earlier than now + plan_floor, and a TP overlay
+    // only adds to it. A PP overlay re-times the batch to
+    // now + (d + m - 1) * microbatchTicks(T), which is monotone in the
+    // compute time T but can end before the compute does.
+    if (shardedDecoder(model) &&
+        placement_.mode == PlacementMode::PipelineParallel) {
+        const Tick stages = static_cast<Tick>(placement_.degree) +
+                            placement_.microbatches - 1;
+        return saturatingAddTicks(now,
+                                  stages * microbatchTicks(plan_floor));
+    }
+    return saturatingAddTicks(now, plan_floor);
 }
 
 std::vector<std::string>
@@ -522,6 +528,22 @@ Scheduler::decodeReadyCount() const
 }
 
 void
+Scheduler::recordRequestSpan(const std::string &model,
+                             const RequestOutcome &c)
+{
+    onChip([this,
+            name = model + " #" + std::to_string(c.request.id),
+            from = c.request.arrival, to = c.completed,
+            args = TraceArgs{
+                {"queue_wait_us", ticksToMicroSeconds(c.queueWait())},
+                {"batch", static_cast<double>(c.batchSize)},
+                {"missed", c.missedDeadline() ? 1.0 : 0.0}}]() mutable {
+        dtu_.tracer().span(reqTrack_, name, "request", from, to,
+                           std::move(args));
+    });
+}
+
+void
 Scheduler::complete(RequestOutcome outcome)
 {
     lastCompletion_ = std::max(lastCompletion_, outcome.completed);
@@ -543,11 +565,12 @@ Scheduler::dropOutcome(RequestOutcome outcome)
       case DropReason::Failed: ++failedStat_; break;
     }
     if (timeline_) {
-        dtu_.tracer().instant(
-            dropTrack_,
-            std::string(dropReasonName(outcome.dropReason)) + " #" +
-                std::to_string(outcome.request.id),
-            "degradation", outcome.completed);
+        onChip([this,
+                name = std::string(dropReasonName(outcome.dropReason)) +
+                       " #" + std::to_string(outcome.request.id),
+                at = outcome.completed] {
+            dtu_.tracer().instant(dropTrack_, name, "degradation", at);
+        });
     }
     if (sloMon_)
         sloMon_->recordDrop(outcome);
@@ -674,27 +697,57 @@ Scheduler::shouldLaunchGen(const std::string &model, Tick now) const
     return futureCount(model) == 0;
 }
 
+std::vector<Request>
+Scheduler::sampledRiders(const std::vector<Request> &riders) const
+{
+    if (reqTracer_) {
+        for (const Request &q : riders) {
+            if (reqTracer_->sampled(q.id))
+                return riders;
+        }
+    }
+    return {};
+}
+
+template <typename ChipPart>
+LaneExecutor::Ticket
+Scheduler::submitLaunch(PhaseBreakdown *phase, ChipPart &&chip)
+{
+    PendingRun &pending = pending_.emplace_back();
+    pending.phase = phase;
+    pending.ticket = lanes_->submit(
+        lane_, [&run = pending.run, chip = std::forward<ChipPart>(chip)] {
+            run = chip();
+        });
+    return pending.ticket;
+}
+
+void
+Scheduler::onChip(std::function<void()> fn)
+{
+    lanes_->submit(lane_, std::move(fn));
+}
+
 Scheduler::BatchRun
 Scheduler::executeBatch(const ExecutionPlan &p,
-                        const std::vector<Request> &riders,
+                        const std::vector<Request> &sampled,
                         const std::vector<unsigned> &groups, Tick now,
                         unsigned max_retries, bool record_ops,
                         const std::string &model, const char *phase)
 {
+    // Everything this chip and its group's peer links book from here
+    // on starts at or after now. Raised here, on the lane, rather
+    // than at settle: a raise ahead of a queued earlier launch would
+    // clamp its bookings.
+    dtu_.eventQueue().raiseLedgerWatermark(now);
+    if (fabric_)
+        fabric_->raiseGroupWatermark(fabricGroup_, now);
     // A batch carrying a sampled request records its chip-side
     // operator spans (the flow-arrow targets) even when the user
     // left the chip timeline off; the op trace supplies the flow
     // anchor. Recording is observation only — simulated timing is
     // unchanged.
-    bool sampled_batch = false;
-    if (reqTracer_) {
-        for (const Request &q : riders) {
-            if (reqTracer_->sampled(q.id)) {
-                sampled_batch = true;
-                break;
-            }
-        }
-    }
+    const bool sampled_batch = !sampled.empty();
     ExecOptions exec_opts = config_.exec;
     if (sampled_batch)
         exec_opts.trace = true;
@@ -723,8 +776,6 @@ Scheduler::executeBatch(const ExecutionPlan &p,
             if (!run.poisoned || run.retries >= max_retries)
                 break;
             ++run.retries;
-            ++batchRetries_;
-            ++retryStat_;
             launch_at = run.result.end;
             if (timeline_) {
                 dtu_.tracer().instant(
@@ -744,7 +795,7 @@ Scheduler::executeBatch(const ExecutionPlan &p,
                            r.trace.front().start) /
                               2;
             reqTracer_->onBatchExecuted(deviceId_, dtu_.tracer(),
-                                        riders, now, r.end, link,
+                                        sampled, now, r.end, link,
                                         run.retries);
         }
     }
@@ -779,8 +830,78 @@ Scheduler::accumulatePhase(PhaseBreakdown &phase,
 }
 
 void
+Scheduler::readResults(Tick upto)
+{
+    // The latest launch whose floor is due. Its task finishing means
+    // every earlier task on this FIFO lane finished, so the launches
+    // before it are read too, which keeps the phase sums in launch
+    // order.
+    std::uint64_t last = 0;
+    for (const ActiveBatch &b : active_) {
+        if (b.ticket.seq && b.floor <= upto)
+            last = std::max(last, b.ticket.seq);
+    }
+    for (const DecodeBatch &b : decoding_) {
+        if (b.ticket.seq && b.stepFloor <= upto)
+            last = std::max(last, b.ticket.seq);
+    }
+    if (last)
+        readThrough(last);
+}
+
+void
+Scheduler::readThrough(std::uint64_t seq)
+{
+    lanes_->wait({lane_, seq});
+    while (!pending_.empty() && pending_.front().ticket.seq <= seq) {
+        PendingRun &p = pending_.front();
+        const BatchRun &run = p.run;
+        if (p.phase)
+            accumulatePhase(*p.phase, run.result);
+        batchRetries_ += run.retries;
+        retryStat_ += static_cast<double>(run.retries);
+        auto active = std::find_if(
+            active_.begin(), active_.end(), [&](const ActiveBatch &b) {
+                return b.ticket.seq == p.ticket.seq;
+            });
+        Tick floor = 0;
+        if (active != active_.end()) {
+            floor = active->floor;
+            active->end = run.end;
+            active->retries = run.retries;
+            active->failed = run.poisoned;
+            active->ticket = {};
+        } else {
+            auto step = std::find_if(
+                decoding_.begin(), decoding_.end(),
+                [&](const DecodeBatch &b) {
+                    return b.ticket.seq == p.ticket.seq;
+                });
+            panicIf(step == decoding_.end(), "launch ", p.ticket.seq,
+                    " has no batch");
+            floor = step->stepFloor;
+            step->stepEnd = run.end;
+            step->stepPoisoned = run.poisoned;
+            step->ticket = {};
+        }
+        panicIf(run.end < floor, "batch ended at ", run.end,
+                " before its floor ", floor);
+        pending_.pop_front();
+    }
+}
+
+void
+Scheduler::drainChip()
+{
+    if (!pending_.empty())
+        readThrough(pending_.back().ticket.seq);
+    lanes_->drain(lane_);
+}
+
+void
 Scheduler::advanceCompletions(Tick upto)
 {
+    readResults(upto);
     std::vector<ActiveBatch> still_running;
     std::vector<ActiveBatch> done;
     for (ActiveBatch &b : active_) {
@@ -795,7 +916,6 @@ Scheduler::advanceCompletions(Tick upto)
                       return a.end < b.end;
                   return a.tenant < b.tenant;
               });
-    Tracer &tracer = dtu_.tracer();
     for (const ActiveBatch &b : done) {
         manager_.release(b.tenant, b.end);
         lastCompletion_ = std::max(lastCompletion_, b.end);
@@ -807,10 +927,12 @@ Scheduler::advanceCompletions(Tick upto)
                                   static_cast<double>(b.retries));
             if (b.failed)
                 args.emplace_back("failed", 1.0);
-            tracer.span(batchTrack_,
-                        b.prefill ? b.model + " prefill" : b.model,
-                        "serving-batch", b.dispatched, b.end,
-                        std::move(args));
+            onChip([this, args = std::move(args),
+                    name = b.prefill ? b.model + " prefill" : b.model,
+                    from = b.dispatched, to = b.end]() mutable {
+                dtu_.tracer().span(batchTrack_, name, "serving-batch",
+                                   from, to, std::move(args));
+            });
         }
         if (b.prefill) {
             retirePrefill(b);
@@ -844,7 +966,7 @@ Scheduler::advanceCompletions(Tick upto)
             c.batchSize = size;
             c.retries = b.retries;
             if (timeline_)
-                requestSpan(tracer, reqTrack_, b.model, c);
+                recordRequestSpan(b.model, c);
             complete(std::move(c));
         }
     }
@@ -855,7 +977,6 @@ void
 Scheduler::retirePrefill(const ActiveBatch &b)
 {
     KvCache &kv = *kv_;
-    Tracer &tracer = dtu_.tracer();
     const auto size = static_cast<unsigned>(b.requests.size());
     if (b.failed) {
         // A poisoned prefill leaves no trustworthy KV state: the
@@ -895,7 +1016,7 @@ Scheduler::retirePrefill(const ActiveBatch &b)
             o.retries = b.retries;
             o.tokensEmitted = 1;
             if (timeline_)
-                requestSpan(tracer, reqTrack_, b.model, o);
+                recordRequestSpan(b.model, o);
             complete(std::move(o));
             continue;
         }
@@ -930,7 +1051,6 @@ Scheduler::advanceDecode(Tick upto)
                       return a->stepEnd < b->stepEnd;
                   return a->tenant < b->tenant;
               });
-    Tracer &tracer = dtu_.tracer();
     for (DecodeBatch *bp : due) {
         DecodeBatch &b = *bp;
         b.inStep = false;
@@ -981,7 +1101,7 @@ Scheduler::advanceDecode(Tick upto)
                     o.retries = seq.retries;
                     o.tokensEmitted = seq.emitted;
                     if (timeline_)
-                        requestSpan(tracer, reqTrack_, b.model, o);
+                        recordRequestSpan(b.model, o);
                     complete(std::move(o));
                 } else {
                     live.push_back(std::move(seq));
@@ -1004,11 +1124,6 @@ Scheduler::advanceDecode(Tick upto)
 void
 Scheduler::settle(Tick now)
 {
-    // Everything this chip and its group's peer links book from here
-    // on starts at or after now.
-    dtu_.eventQueue().raiseLedgerWatermark(now);
-    if (fabric_)
-        fabric_->raiseGroupWatermark(fabricGroup_, now);
     dropExpired(now);
     launchOneShots(now);
     launchGeneration(now);
@@ -1033,19 +1148,24 @@ Scheduler::launchOneShots(Tick now)
                     break; // free groups span clusters
                 std::vector<Request> reqs = queue_.popBatch(
                     model, config_.batching.maxBatchFor(model));
-                const ExecutionPlan &p = plan(
+                const CachedPlan &p = plan(
                     model, static_cast<unsigned>(reqs.size()));
-                BatchRun run = executeBatch(
-                    p, reqs, lease->groups, now,
-                    degrade.maxBatchRetries, false, model, "batch");
                 ActiveBatch batch;
-                batch.end = run.end;
+                batch.end = kNever;
+                batch.floor = saturatingAddTicks(now, p.floor);
+                batch.ticket = submitLaunch(
+                    nullptr,
+                    [this, &plan = p.plan, sampled = sampledRiders(reqs),
+                     groups = lease->groups, now,
+                     retries = degrade.maxBatchRetries, model] {
+                        return executeBatch(plan, sampled, groups, now,
+                                            retries, false, model,
+                                            "batch");
+                    });
                 batch.dispatched = now;
                 batch.tenant = nextTenant_;
                 batch.model = model;
                 batch.requests = std::move(reqs);
-                batch.retries = run.retries;
-                batch.failed = run.poisoned;
                 active_.push_back(std::move(batch));
                 ++nextTenant_;
                 ++batches_;
@@ -1182,28 +1302,31 @@ Scheduler::launchGeneration(Tick now)
                 for (const Request &r : reqs)
                     max_prompt =
                         std::max(max_prompt, r.gen.promptLen);
-                const ExecutionPlan &p = prefillPlan(
-                    model, static_cast<unsigned>(reqs.size()),
-                    bucketLen(max_prompt));
-                BatchRun run = executeBatch(
-                    p, reqs, lease->groups, now,
-                    degrade.maxBatchRetries, true, model, "prefill");
-                accumulatePhase(genLog_.prefill, run.result);
+                const auto size = static_cast<unsigned>(reqs.size());
+                const unsigned prompt = bucketLen(max_prompt);
+                const CachedPlan &p = prefillPlan(model, size, prompt);
                 ++genLog_.prefillBatches;
                 ActiveBatch batch;
-                batch.end =
-                    shardedDecoder(model)
-                        ? shardOverlay(
-                              model, now, run.end,
-                              static_cast<unsigned>(reqs.size()),
-                              bucketLen(max_prompt))
-                        : run.end;
+                batch.end = kNever;
+                batch.floor = launchFloor(model, now, p.floor);
+                batch.ticket = submitLaunch(
+                    &genLog_.prefill,
+                    [this, &plan = p.plan, sampled = sampledRiders(reqs),
+                     groups = lease->groups, now,
+                     retries = degrade.maxBatchRetries, model, size,
+                     prompt] {
+                        BatchRun run = executeBatch(
+                            plan, sampled, groups, now, retries, true,
+                            model, "prefill");
+                        if (shardedDecoder(model))
+                            run.end = shardOverlay(model, now, run.end,
+                                                   size, prompt);
+                        return run;
+                    });
                 batch.dispatched = now;
                 batch.tenant = nextTenant_;
                 batch.model = model;
                 batch.requests = std::move(reqs);
-                batch.retries = run.retries;
-                batch.failed = run.poisoned;
                 batch.prefill = true;
                 active_.push_back(std::move(batch));
                 ++nextTenant_;
@@ -1226,37 +1349,47 @@ Scheduler::launchDecodeStep(DecodeBatch &b, Tick now)
     const unsigned cost_batch =
         gen.continuousBatching ? static_cast<unsigned>(b.seqs.size())
                                : b.formed;
-    const ExecutionPlan &p =
+    const CachedPlan &p =
         decodePlan(b.model, cost_batch, bucketLen(ctx));
     std::vector<Request> riders;
-    riders.reserve(b.seqs.size());
-    for (const DecodeSeq &seq : b.seqs)
-        riders.push_back(seq.request);
-    // Decode steps do not retry on poison (max_retries 0): the KV
-    // state is already suspect after one poisoned pass.
-    BatchRun run = executeBatch(p, riders, b.groups, now, 0, true,
-                                b.model, "decode");
-    accumulatePhase(genLog_.decode, run.result);
+    if (reqTracer_) {
+        riders.reserve(b.seqs.size());
+        for (const DecodeSeq &seq : b.seqs)
+            riders.push_back(seq.request);
+    }
     ++batches_;
     b.inStep = true;
-    b.stepPoisoned = run.poisoned;
+    b.stepPoisoned = false;
     b.stepStart = now;
-    b.stepEnd = shardedDecoder(b.model)
-                    ? shardOverlay(b.model, now, run.end, cost_batch,
-                                   /*tokens=*/1)
-                    : run.end;
-    if (timeline_) {
-        Tracer &tracer = dtu_.tracer();
-        if (!decodeTrackMade_) {
-            decodeTrack_ = tracer.track("serve", "decode");
-            decodeTrackMade_ = true;
-        }
-        tracer.span(decodeTrack_, b.model, "decode-step", now,
-                    run.end,
-                    {{"batch", static_cast<double>(cost_batch)},
-                     {"live", static_cast<double>(b.seqs.size())},
-                     {"ctx", static_cast<double>(ctx)}});
-    }
+    b.stepEnd = kNever;
+    b.stepFloor = launchFloor(b.model, now, p.floor);
+    // Decode steps do not retry on poison (max_retries 0): the KV
+    // state is already suspect after one poisoned pass.
+    b.ticket = submitLaunch(
+        &genLog_.decode,
+        [this, &plan = p.plan, sampled = sampledRiders(riders),
+         groups = b.groups, now, model = b.model, cost_batch,
+         live = b.seqs.size(), ctx] {
+            BatchRun run = executeBatch(plan, sampled, groups, now, 0,
+                                        true, model, "decode");
+            const Tick compute_end = run.end;
+            if (shardedDecoder(model))
+                run.end = shardOverlay(model, now, compute_end,
+                                       cost_batch, /*tokens=*/1);
+            if (timeline_) {
+                Tracer &tracer = dtu_.tracer();
+                if (!decodeTrackMade_) {
+                    decodeTrack_ = tracer.track("serve", "decode");
+                    decodeTrackMade_ = true;
+                }
+                tracer.span(decodeTrack_, model, "decode-step", now,
+                            compute_end,
+                            {{"batch", static_cast<double>(cost_batch)},
+                             {"live", static_cast<double>(live)},
+                             {"ctx", static_cast<double>(ctx)}});
+            }
+            return run;
+        });
 }
 
 Tick
@@ -1264,10 +1397,10 @@ Scheduler::nextEvent(Tick now) const
 {
     Tick next = kNever;
     for (const ActiveBatch &b : active_)
-        next = std::min(next, b.end);
+        next = std::min(next, b.ticket.seq ? b.floor : b.end);
     for (const DecodeBatch &b : decoding_) {
         if (b.inStep)
-            next = std::min(next, b.stepEnd);
+            next = std::min(next, b.ticket.seq ? b.stepFloor : b.stepEnd);
     }
     for (const RequestQueue *queue : {&queue_, &genQueue_}) {
         for (const std::string &model : queue->models()) {
@@ -1305,8 +1438,9 @@ Scheduler::nextEvent(Tick now) const
 }
 
 obs::DeviceMetricSample
-Scheduler::metricSample(unsigned device) const
+Scheduler::metricSample(unsigned device)
 {
+    drainChip();
     obs::DeviceMetricSample d;
     d.device = device;
     d.queueDepth = queueDepth();
@@ -1319,8 +1453,9 @@ Scheduler::metricSample(unsigned device) const
 }
 
 GenerationLog
-Scheduler::generationLog() const
+Scheduler::generationLog()
 {
+    drainChip();
     GenerationLog log = genLog_;
     if (kv_) {
         log.kvPageBudget = kv_->pageBudget();
@@ -1337,6 +1472,7 @@ Scheduler::generationLog() const
 ServingReport
 Scheduler::finish(double offered_qps)
 {
+    drainChip();
     ServingReport report = summarize(
         std::move(outcomes_), offered_qps, batches_,
         dtu_.energy().joules() - joulesBefore_,

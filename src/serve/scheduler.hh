@@ -31,9 +31,10 @@
 #define DTU_SERVE_SCHEDULER_HH
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +45,7 @@
 #include "serve/placement.hh"
 #include "serve/report.hh"
 #include "serve/request.hh"
+#include "sim/lane_executor.hh"
 #include "sim/tracer.hh"
 #include "soc/resource_manager.hh"
 
@@ -188,8 +190,16 @@ struct ServingConfig
     int tenantBase = 1 << 20;
 };
 
+/** A compiled plan and its latency floor on a serving lease. */
+struct CachedPlan
+{
+    ExecutionPlan plan;
+    /** Executor::minLatency of the plan on a groupsPerBatch lease. */
+    Tick floor = 0;
+};
+
 /** A memoized (model, batch) -> compiled-plan cache. */
-using PlanCache = std::map<std::pair<std::string, unsigned>, ExecutionPlan>;
+using PlanCache = std::map<std::pair<std::string, unsigned>, CachedPlan>;
 
 /** Admits requests onto leases as dynamic batches and reports SLOs. */
 class Scheduler
@@ -215,17 +225,23 @@ class Scheduler
      * identically configured devices, where compiled plans are pure
      * functions of the DtuConfig). nullptr reverts to the private
      * cache. Sharing is a host-side memoization only; simulated
-     * timing is unchanged. When the fleet drives its devices from
-     * worker threads it also passes @p mutex: lookups lock it,
-     * compilation happens outside the lock (plans are pure, a losing
-     * racer's copy is discarded), and entries are never erased, so
-     * returned references stay valid unlocked.
+     * timing is unchanged. Plans compile on the driving thread only;
+     * lane tasks read entries, which are never erased or moved.
+     */
+    void sharePlanCache(PlanCache *cache) { sharedPlans_ = cache; }
+
+    /**
+     * Run this core's chip-side work as lane @p lane of @p lanes (the
+     * fleet's executor) instead of inline; nullptr returns to inline.
+     * Switch only between runs with the old lanes idle: launches not
+     * yet read (left by a run a FatalError cut short) are dropped.
      */
     void
-    sharePlanCache(PlanCache *cache, std::mutex *mutex = nullptr)
+    setLanes(LaneExecutor *lanes, unsigned lane)
     {
-        sharedPlans_ = cache;
-        planMutex_ = cache ? mutex : nullptr;
+        lanes_ = lanes ? lanes : &inlineLanes_;
+        lane_ = lanes ? lane : 0;
+        pending_.clear();
     }
 
     /** The chip this core schedules onto. */
@@ -301,6 +317,15 @@ class Scheduler
     // with nextEvent(t) giving the earliest internal wake-up after t
     // (the driver min-reduces it with the next arrival time).
     //
+    // A launch's chip-side work (Executor::run with its retries, the
+    // fabric overlay) runs as a task on this core's lane, and the
+    // core first reads its result at the launch's *floor*: the launch
+    // tick plus a lower bound on the batch's latency. Until then
+    // nextEvent() reports the floor, which is not a real event:
+    // advanceCompletions() and settle() are no-ops there. Only lane
+    // tasks touch the chip and its group's fabric links; every core
+    // method that reads the chip drains the lane first.
+    //
 
     /**
      * Start a run at simulated time @p start. @p future counts the
@@ -326,17 +351,19 @@ class Scheduler
     /**
      * Sweep degradation drops (deadline shedding, queue timeouts) at
      * @p now, then launch every launchable batch onto free leases.
-     * Raises the ledger watermark of the chip and of its placement
-     * group's fabric links to @p now first: the driver never steps a
-     * device backwards, so nothing books before it.
+     * Each launch task raises the ledger watermark of the chip and of
+     * its placement group's fabric links to its launch tick first:
+     * the driver never steps a device backwards, so nothing books
+     * before it.
      */
     void settle(Tick now);
 
     /**
      * Earliest internal event after @p now: an active batch
-     * completion, a batching timeout maturing, a degradation deadline
-     * (request timeout / SLO expiry), or a model's weights finishing
-     * their PCIe load. Returns maxTick when the device is idle.
+     * completion (or, before its result is read, its floor), a
+     * batching timeout maturing, a degradation deadline (request
+     * timeout / SLO expiry), or a model's weights finishing their
+     * PCIe load. Returns maxTick when the device is idle.
      */
     Tick nextEvent(Tick now) const;
 
@@ -379,7 +406,7 @@ class Scheduler
      * samples, KV gauges). finish() folds it into the report; the
      * fleet merges the per-device logs for its aggregate.
      */
-    GenerationLog generationLog() const;
+    GenerationLog generationLog();
 
     /** The device's KV cache (nullptr before any generative admit). */
     const KvCache *kvCache() const { return kv_.get(); }
@@ -388,7 +415,7 @@ class Scheduler
     std::uint64_t batchRetryCount() const { return batchRetries_; }
 
     /** Snapshot the live serving state as fleet device @p device. */
-    obs::DeviceMetricSample metricSample(unsigned device) const;
+    obs::DeviceMetricSample metricSample(unsigned device);
 
     /** Highest queue depth seen this run. */
     std::size_t peakQueueDepth() const { return peakQueue_; }
@@ -430,7 +457,12 @@ class Scheduler
     /** One batch executing on a lease. */
     struct ActiveBatch
     {
+        /** Completion; maxTick until the launch's result is read. */
         Tick end = 0;
+        /** The launch's floor: end is read no earlier. */
+        Tick floor = 0;
+        /** The launch's lane task; seq 0 once its result is read. */
+        LaneExecutor::Ticket ticket;
         Tick dispatched = 0;
         int tenant = -1;
         std::string model;
@@ -479,7 +511,11 @@ class Scheduler
          *  does not retry: its riders fail at the step end). */
         bool stepPoisoned = false;
         Tick stepStart = 0;
+        /** Step completion; maxTick until the step's result is read. */
         Tick stepEnd = 0;
+        /** The step's floor and lane task (seq 0 once read). */
+        Tick stepFloor = 0;
+        LaneExecutor::Ticket ticket;
         /** The lease's processing groups, held across steps. */
         std::vector<unsigned> groups;
         std::vector<DecodeSeq> seqs;
@@ -488,32 +524,42 @@ class Scheduler
     /** Outcome of one executor run on a lease (with retries). */
     struct BatchRun
     {
+        /** Completion, after the fabric overlay. */
         Tick end = 0;
         unsigned retries = 0;
         bool poisoned = false;
         ExecResult result;
     };
 
+    /** A launch whose result the driving thread has not read yet. */
+    struct PendingRun
+    {
+        LaneExecutor::Ticket ticket;
+        /** Phase its operator traces fold into, or nullptr. */
+        PhaseBreakdown *phase = nullptr;
+        /** Written by the lane task. */
+        BatchRun run;
+    };
+
     /**
      * Look up @p key in the active plan cache, compiling the graph
-     * @p build returns on a miss (thread-safe when a shared-cache
-     * mutex was provided, see sharePlanCache).
+     * @p build returns on a miss.
      */
     template <typename BuildGraph>
-    const ExecutionPlan &
+    const CachedPlan &
     cachedPlan(const std::pair<std::string, unsigned> &key,
                BuildGraph &&build);
 
     /** Memoized compile of @p model at @p batch samples. */
-    const ExecutionPlan &plan(const std::string &model, unsigned batch);
+    const CachedPlan &plan(const std::string &model, unsigned batch);
 
     /** Memoized decoder prefill / decode-step plans. The cache key
      *  encodes the phase and context bucket in the model string
      *  ("gpt_tiny@p128", "gpt_tiny@d256"). */
-    const ExecutionPlan &prefillPlan(const std::string &model,
-                                     unsigned batch, unsigned prompt);
-    const ExecutionPlan &decodePlan(const std::string &model,
-                                    unsigned batch, unsigned ctx);
+    const CachedPlan &prefillPlan(const std::string &model,
+                                  unsigned batch, unsigned prompt);
+    const CachedPlan &decodePlan(const std::string &model,
+                                 unsigned batch, unsigned ctx);
 
     /** @p len rounded up to the generation ctxBucket multiple. */
     unsigned bucketLen(unsigned len) const;
@@ -538,6 +584,18 @@ class Scheduler
     Tick shardOverlay(const std::string &model, Tick now,
                       Tick compute_end, unsigned batch, unsigned tokens);
 
+    /** Per-stage microbatch time of a pipeline over compute time @p T. */
+    Tick microbatchTicks(Tick T) const;
+
+    /**
+     * The floor of a launch at @p now whose plan floor is
+     * @p plan_floor: a lower bound on its completion after
+     * shardOverlay (which re-times a pipeline-parallel batch, possibly
+     * before its compute end).
+     */
+    Tick launchFloor(const std::string &model, Tick now,
+                     Tick plan_floor) const;
+
     /** KV bytes per generated token for decoder @p model. */
     std::uint64_t bytesPerTokenFor(const std::string &model);
 
@@ -549,21 +607,53 @@ class Scheduler
 
     /**
      * Run @p p on @p groups at @p now with the poison-retry loop and
-     * request-tracer hooks (mirrors the one-shot launch path).
-     * @p record_ops forces per-operator traces (phase attribution).
-     * @p phase labels the execution for the energy corpus ("batch",
-     * "prefill", "decode").
+     * request-tracer hooks: a launch's chip part, on the lane.
+     * @p sampled holds the riders when one is sampled by the request
+     * tracer (empty otherwise). @p record_ops forces per-operator
+     * traces (phase attribution). @p phase labels the execution for
+     * the energy corpus ("batch", "prefill", "decode").
      */
     BatchRun executeBatch(const ExecutionPlan &p,
-                          const std::vector<Request> &riders,
+                          const std::vector<Request> &sampled,
                           const std::vector<unsigned> &groups,
                           Tick now, unsigned max_retries,
                           bool record_ops, const std::string &model,
                           const char *phase);
 
+    /** @p riders when the request tracer samples one, else empty. */
+    std::vector<Request>
+    sampledRiders(const std::vector<Request> &riders) const;
+
+    /**
+     * Queue @p chip (returning the launch's BatchRun) on the lane as
+     * a launch whose traces fold into @p phase.
+     */
+    template <typename ChipPart>
+    LaneExecutor::Ticket submitLaunch(PhaseBreakdown *phase,
+                                      ChipPart &&chip);
+
+    /** Queue a chip-side side effect with no result on the lane. */
+    void onChip(std::function<void()> fn);
+
+    /**
+     * Read every launch whose floor is at or before @p upto, with
+     * every earlier launch, in launch order.
+     */
+    void readResults(Tick upto);
+
+    /** Read launches in launch order through lane seq @p seq. */
+    void readThrough(std::uint64_t seq);
+
+    /** Finish every lane task and read every launch. */
+    void drainChip();
+
     /** Fold @p result's operator traces into @p phase. */
     static void accumulatePhase(PhaseBreakdown &phase,
                                 const ExecResult &result);
+
+    /** Queue the per-request timeline span of terminal @p c. */
+    void recordRequestSpan(const std::string &model,
+                           const RequestOutcome &c);
 
     /** Record one completion (stats, timeline, tracer, SLO monitor). */
     void complete(RequestOutcome outcome);
@@ -616,8 +706,11 @@ class Scheduler
     ServingConfig config_;
     PlanCache plans_;
     PlanCache *sharedPlans_ = nullptr;
-    /** Guards sharedPlans_ under parallel fleet workers (may be null). */
-    std::mutex *planMutex_ = nullptr;
+    /** Runs tasks inline at submit when no fleet lanes are attached. */
+    LaneExecutor inlineLanes_{1, 1};
+    /** Where chip-side work runs (see setLanes). */
+    LaneExecutor *lanes_ = &inlineLanes_;
+    unsigned lane_ = 0;
 
     //
     // Degradation counters. The first scheduler on a chip registers
@@ -658,6 +751,9 @@ class Scheduler
      *  path untouched. */
     RequestQueue genQueue_;
     std::vector<ActiveBatch> active_;
+    /** Launches not yet read, in launch order. A lane task writes its
+     *  entry in place (deque elements never move). */
+    std::deque<PendingRun> pending_;
     /** Decode batches holding leases across steps. */
     std::vector<DecodeBatch> decoding_;
     /** Sequences past prefill awaiting a decode slot, per model. */
@@ -690,7 +786,8 @@ class Scheduler
     std::uint64_t weightLoads_ = 0;
     Tick weightLoadTicks_ = 0;
     std::uint64_t weightLoadBytes_ = 0;
-    /** Timeline recording for this run. */
+    /** Timeline recording for this run. The track ids below are
+     *  made by lane tasks and reset by begin(). */
     bool timeline_ = false;
     TrackId reqTrack_;
     TrackId batchTrack_;

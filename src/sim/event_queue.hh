@@ -78,7 +78,7 @@ class Event
  * The queue is not global: each simulation (each DTU instance, each
  * test) owns its own queue, so independent simulations can coexist in
  * one process — and, in a parallel fleet, each device's queue is
- * confined to the worker thread driving that device.
+ * touched only by tasks on that device's lane, one at a time.
  */
 class EventQueue
 {

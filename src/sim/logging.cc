@@ -14,8 +14,8 @@ namespace
 {
 
 bool gLoggingEnabled = false;
-// Per-thread log sinks: in a parallel fleet each worker thread drives
-// its own devices, and its warn()/inform() prefixes must follow the
+// Per-thread log sinks: in a parallel fleet any thread may run any
+// device's lane task, and its warn()/inform() prefixes must follow the
 // device it is stepping, not whatever another thread last registered.
 thread_local const EventQueue *gLogClock = nullptr;
 thread_local int gLogDevice = -1;

@@ -13,9 +13,9 @@
 #   tests/run_tiers.sh --with-tsan  # + tier 4 (ThreadSanitizer)
 #
 # Tier 4 rebuilds with -DDTU_SANITIZE=thread and runs the tests that
-# exercise the parallel fleet driver (sim/worker_pool.hh) and the
-# calendar event queue: the determinism harness, the fleet/serving
-# suites, and the golden replays. TSan and ASan cannot share a build
+# exercise the fleet's lane executor (sim/lane_executor.hh) and the
+# calendar event queue: the lane and floor tests, the determinism
+# harness, the fleet/serving suites, and the golden replays. TSan and ASan cannot share a build
 # tree, hence the separate build-tsan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,8 +32,8 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Suites covering the parallel fleet path + event queue (tier 4).
-tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest)\.'
+# Suites covering the lane executor, fleet path + event queue (tier 4).
+tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor)\.'
 
 echo "== tier 1: fast tests =="
 cmake -B build -S . >/dev/null

@@ -1,20 +1,24 @@
 /**
  * @file
  * The parallel-fleet determinism guarantee (serve/fleet.hh,
- * sim/worker_pool.hh): a fleet served with threads=N produces
+ * sim/lane_executor.hh): a fleet served with threads=N produces
  * byte-identical results to threads=1 — same serving/generation JSON
  * (per-request outcome logs included), same per-device StatRegistry
  * dumps — for any thread count, workload shape, seed, fault
  * pressure, and degradation policy.
  *
  * This is the contract that makes the parallel simulator trustworthy:
- * devices interact only through routing/admission at arrival times,
- * so the conservative window scheduler retires exactly the serial
+ * one serial loop makes every scheduling decision, each chip's
+ * launches run in submit order on its own lane, and a result is read
+ * no earlier than its launch's latency floor, so every chip sees the
+ * serial sequence of operations and the loop retires the serial
  * schedule. Each workload below stresses a different coupling path:
  * Poisson and bursty arrivals (routing pressure), per-device fault
  * injection (ECC/DMA perturbations of batch timing), degradation
- * (shedding, timeouts, batch retries), and autoregressive generation
- * (KV admission, continuous batching, decode steps).
+ * (shedding, timeouts, batch retries), autoregressive generation
+ * (KV admission, continuous batching, decode steps), the benchmark's
+ * 3:1 ResNet50/BERT-Large mix (long floors next to short ones), and
+ * pipeline-parallel groups (floors that re-time before compute ends).
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +45,10 @@ struct Workload
     bool bursty;
     bool faults;
     bool generative;
+    /** The benchmark's fleet_mix shape instead of the default mix. */
+    bool fleetMix = false;
+    /** Pipeline-parallel groups (degree 2, 4 microbatches). */
+    bool pipeline = false;
 };
 
 FleetConfig
@@ -66,6 +74,14 @@ fleetConfig(unsigned threads)
 std::vector<Request>
 oneShotTrace(const Workload &w)
 {
+    if (w.fleetMix) {
+        // 3:1 ResNet50/BERT-Large by count at 4000 QPS per device.
+        return finalizeTrace(
+            {poissonTrace("resnet50", 12000.0, 48, w.seed,
+                          secondsToTicks(20e-3)),
+             poissonTrace("bert_large", 4000.0, 16, w.seed + 1,
+                          secondsToTicks(80e-3))});
+    }
     const double qps = 6000.0;
     const Tick resnet_slo = secondsToTicks(25e-3);
     const Tick bert_slo = secondsToTicks(80e-3);
@@ -110,7 +126,22 @@ genSpecs(std::uint64_t seed)
 std::string
 runOnce(unsigned threads, const Workload &w, std::string *stats_out)
 {
-    FleetServer fleet(fleetConfig(threads));
+    FleetConfig config = fleetConfig(threads);
+    if (w.fleetMix) {
+        config.serving.batching.maxBatch = 8;
+        config.serving.batching.maxQueueDelay = secondsToTicks(2e-3);
+        config.serving.degradation = DegradationPolicy{};
+        config.weightLoadGbps = 0.0;
+    }
+    if (w.pipeline) {
+        config.fabric.enabled = true;
+        config.fabric.topology = fabric::Topology::Ring;
+        config.fabric.linkGbps = 32.0;
+        config.placement.mode = PlacementMode::PipelineParallel;
+        config.placement.degree = 2;
+        config.placement.microbatches = 4;
+    }
+    FleetServer fleet(config);
     if (w.faults) {
         for (unsigned i = 0; i < fleet.size(); ++i) {
             FaultConfig f;
@@ -170,6 +201,8 @@ TEST(Determinism, ByteIdenticalAcrossThreadCounts)
         {"bursty_faults", 37, true, true, false},
         {"faults_generative", 53, false, true, true},
         {"generative", 71, false, false, true},
+        {"fleet_mix", 83, false, false, false, true, false},
+        {"pipeline_faults", 97, false, true, true, false, true},
     };
     for (const Workload &w : workloads) {
         std::string base_stats;
@@ -207,7 +240,7 @@ shardedConfig(unsigned threads, PlacementMode mode,
 TEST(Determinism, ModelParallelByteIdenticalAcrossThreadCounts)
 {
     // Tensor- and pipeline-parallel groups drive their own peer
-    // links from worker threads; only the shared root complex is
+    // links from their lane tasks; only the shared root complex is
     // fleet-thread territory. Every topology x placement combination
     // that parallelizes must retire the serial schedule exactly.
     const struct
@@ -255,7 +288,7 @@ TEST(Determinism, ModelParallelByteIdenticalAcrossThreadCounts)
 TEST(Determinism, SharedRootShardingFallsBackToSerial)
 {
     // Under SharedRoot, group collectives would cross the shared
-    // root link from worker threads; the fleet must fall back to the
+    // root link from lane tasks; the fleet must fall back to the
     // serial loop and still match threads=1 byte-for-byte.
     const Workload w{"shared_root", 29, false, false, true};
     auto run = [&](unsigned threads) {
