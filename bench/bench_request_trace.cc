@@ -20,9 +20,12 @@
  * stays under 5% wall-clock overhead.
  *
  *     bench_request_trace [--json <path>] [--max-devices <n>]
- *                         [--requests <per-device>]
+ *                         [--requests <per-device>] [--threads <n>]
  *                         [--trace-out <path>] [--flight-out <path>]
  *
+ * --threads sets every fleet's FleetConfig::threads (default 1); the
+ * observers run on the lanes, so every artifact is byte-identical
+ * across thread counts.
  * --trace-out writes the merged Chrome trace (request lanes + every
  * chip timeline, flow-linked) of the largest p = 0.1 cell — open it
  * in https://ui.perfetto.dev. --flight-out runs an extra overloaded
@@ -66,10 +69,11 @@ mixTrace(unsigned devices, unsigned per_device)
 }
 
 serve::FleetConfig
-fleetConfig(unsigned devices)
+fleetConfig(unsigned devices, unsigned threads)
 {
     serve::FleetConfig config;
     config.devices = devices;
+    config.threads = threads;
     config.routing = serve::RoutingPolicy::LeastOutstanding;
     config.serving.batching.maxBatch = 8;
     config.serving.batching.maxQueueDelay = secondsToTicks(2e-3);
@@ -79,11 +83,12 @@ fleetConfig(unsigned devices)
 
 /** One serving run; returns wall-clock seconds. */
 double
-timedServe(unsigned devices,
+timedServe(unsigned devices, unsigned threads,
            const std::vector<serve::Request> &trace, double rate,
            std::string *report_json, FleetServer **keep = nullptr)
 {
-    auto fleet = std::make_unique<FleetServer>(fleetConfig(devices));
+    auto fleet =
+        std::make_unique<FleetServer>(fleetConfig(devices, threads));
     if (rate >= 0.0)
         fleet->enableRequestTracing({.sampleRate = rate, .seed = 7});
     fleet->submit(trace);
@@ -125,11 +130,11 @@ chainCompleteness(const obs::RequestTracer &tracer, bool *all_linked)
 
 void
 flightRecorderDemo(const std::string &path, unsigned devices,
-                   unsigned per_device)
+                   unsigned per_device, unsigned threads)
 {
     // Overload the fleet (tight deadlines + shallow queues) so the
     // burn-rate alert genuinely fires, and capture the incident.
-    serve::FleetConfig config = fleetConfig(devices);
+    serve::FleetConfig config = fleetConfig(devices, threads);
     config.serving.degradation.admissionLimit = 4;
     FleetServer fleet(config);
     fleet.enableRequestTracing({.sampleRate = 1.0, .seed = 7});
@@ -167,10 +172,11 @@ int
 main(int argc, char **argv)
 {
     BenchOutput out(argc, argv, "request_trace",
-                    {"--max-devices", "--requests", "--trace-out",
-                     "--flight-out"});
+                    {"--max-devices", "--requests", "--threads",
+                     "--trace-out", "--flight-out"});
     unsigned max_devices = parseCount(out.option("--max-devices"), 4);
     unsigned per_device = parseCount(out.option("--requests"), 96);
+    unsigned threads = parseCount(out.option("--threads"), 1);
     const std::string trace_out = out.option("--trace-out");
     const std::string flight_out = out.option("--flight-out");
 
@@ -205,9 +211,9 @@ main(int argc, char **argv)
             for (unsigned rep = 0; rep < reps; ++rep) {
                 delete fleet;
                 fleet = nullptr;
-                double b = timedServe(size, trace, -1.0,
+                double b = timedServe(size, threads, trace, -1.0,
                                       rep ? nullptr : &base_json);
-                double t = timedServe(size, trace, rate,
+                double t = timedServe(size, threads, trace, rate,
                                       rep ? nullptr : &traced_json,
                                       &fleet);
                 base = rep == 0 ? b : std::min(base, b);
@@ -264,7 +270,8 @@ main(int argc, char **argv)
                 headline_overhead < 5.0 ? "" : "  ** OVER BUDGET **");
 
     if (!flight_out.empty())
-        flightRecorderDemo(flight_out, sizes.back(), per_device);
+        flightRecorderDemo(flight_out, sizes.back(), per_device,
+                           threads);
 
     return out.finish();
 }

@@ -279,6 +279,10 @@ FleetServer::enableFlightRecorder(obs::FlightRecorderConfig config)
     fatalIf(flightRec_ != nullptr,
             "fleet already has a flight recorder");
     flightRec_ = std::make_unique<obs::FlightRecorder>(config);
+    // Metric samples reach the rings when their chip readings are
+    // in; a dump must show every sample taken up to its trigger.
+    flightRec_->setBeforeDump(
+        [fleet = fleet_.get()] { fleet->flushMetricSamples(); });
     if (reqTracer_)
         reqTracer_->setFlightRecorder(flightRec_.get());
     if (energyMon_)

@@ -1,6 +1,7 @@
 #include "obs/energy_monitor.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "graph/graph.hh"
 #include "obs/flight_recorder.hh"
@@ -80,6 +81,7 @@ EnergyMonitor::attach(unsigned device, Dtu &dtu)
 void
 EnergyMonitor::beginRun(Tick at)
 {
+    appendRunCorpus();
     series_.clear();
     for (DeviceState &dev : devices_) {
         dev.runStart = at;
@@ -92,55 +94,70 @@ EnergyMonitor::beginRun(Tick at)
         dev.lastWindows = dev.windowsBase;
         dev.lastThrottled = dev.throttledBase;
         dev.audit->clear();
-        dev.forwarded = 0;
+        dev.auditRead = 0;
     }
 }
 
-void
-EnergyMonitor::drainAudit(DeviceState &dev)
+ChipReading
+EnergyMonitor::read(unsigned device)
 {
-    const PowerAuditTrail &trail = *dev.audit;
+    DeviceState *dev = find(device);
+    fatalIf(!dev, "energy monitor does not watch device ", device);
+    ChipReading reading;
+    reading.device = device;
+    reading.joules = dev->dtu->energy().joules();
+    reading.windows = dev->dtu->cpme().windowsServiced();
+    reading.throttled = dev->dtu->cpme().throttledWindows();
+    reading.frequencyGhz = dev->dtu->coreFrequency() / 1e9;
+    const PowerAuditTrail &trail = *dev->audit;
     // Absolute index of the oldest buffered event: everything before
-    // it was evicted by the ring (and, if not yet forwarded, is lost
-    // to the flight recorder too — the rings bound memory, not the
+    // it was evicted by the ring (and, if not yet read, is lost to
+    // the flight recorder too — the rings bound memory, not the
     // totals).
-    const std::uint64_t first =
-        trail.totalRecorded() - trail.events().size();
-    std::uint64_t index = first;
+    std::uint64_t index = trail.totalRecorded() - trail.events().size();
     for (const PowerEvent &event : trail.events()) {
-        if (index >= dev.forwarded && flightRec_)
-            flightRec_->recordPowerEvent(dev.device, event);
-        ++index;
+        if (index++ >= dev->auditRead)
+            reading.audit.push_back(event);
     }
-    dev.forwarded = trail.totalRecorded();
+    dev->auditRead = trail.totalRecorded();
+    return reading;
 }
 
 void
-EnergyMonitor::annotate(FleetMetricSample &sample)
+EnergyMonitor::forwardAudit(unsigned device,
+                            const std::vector<PowerEvent> &events)
+{
+    if (!flightRec_)
+        return;
+    for (const PowerEvent &event : events)
+        flightRec_->recordPowerEvent(device, event);
+}
+
+void
+EnergyMonitor::annotate(FleetMetricSample &sample,
+                        const std::vector<ChipReading> &readings)
 {
     for (DeviceMetricSample &d : sample.devices) {
         DeviceState *dev = find(d.device);
-        if (!dev)
+        auto reading = std::find_if(
+            readings.begin(), readings.end(),
+            [&](const ChipReading &r) { return r.device == d.device; });
+        if (!dev || reading == readings.end())
             continue;
-        const double joules = dev->dtu->energy().joules();
-        const std::uint64_t windows =
-            dev->dtu->cpme().windowsServiced();
-        const std::uint64_t throttled =
-            dev->dtu->cpme().throttledWindows();
         const Tick at = std::max(sample.at, dev->lastAt);
         const double dt = ticksToSeconds(at - dev->lastAt);
         d.hasPower = true;
-        d.powerWatts = safeRatio(joules - dev->lastJoules, dt);
-        d.energyJoules = joules - dev->joulesBase;
-        d.throttleFraction =
-            safeRatio(static_cast<double>(throttled - dev->lastThrottled),
-                      static_cast<double>(windows - dev->lastWindows));
-        d.frequencyGhz = dev->dtu->coreFrequency() / 1e9;
+        d.powerWatts = safeRatio(reading->joules - dev->lastJoules, dt);
+        d.energyJoules = reading->joules - dev->joulesBase;
+        d.throttleFraction = safeRatio(
+            static_cast<double>(reading->throttled - dev->lastThrottled),
+            static_cast<double>(reading->windows - dev->lastWindows));
+        d.frequencyGhz = reading->frequencyGhz;
         dev->lastAt = at;
-        dev->lastJoules = joules;
-        dev->lastWindows = windows;
-        dev->lastThrottled = throttled;
-        drainAudit(*dev);
+        dev->lastJoules = reading->joules;
+        dev->lastWindows = reading->windows;
+        dev->lastThrottled = reading->throttled;
+        forwardAudit(d.device, reading->audit);
     }
     series_.append(sample);
 }
@@ -150,8 +167,9 @@ EnergyMonitor::endRun(Tick at)
 {
     for (DeviceState &dev : devices_) {
         dev.lastAt = std::max(dev.lastAt, at);
-        drainAudit(dev);
+        forwardAudit(dev.device, read(dev.device).audit);
     }
+    appendRunCorpus();
 }
 
 EnergyBreakdown
@@ -178,12 +196,14 @@ EnergyMonitor::auditTrail(unsigned device) const
 }
 
 void
-EnergyMonitor::recordOps(unsigned device, const std::string &model,
+EnergyMonitor::recordOps(std::uint64_t order, unsigned device,
+                         const std::string &model,
                          const std::string &phase,
                          const ExecResult &result)
 {
     if (!config_.corpus)
         return;
+    std::vector<EnergyCorpusRow> &rows = runCorpus_[order];
     for (const OpTrace &op : result.trace) {
         EnergyCorpusRow row;
         row.device = device;
@@ -208,8 +228,19 @@ EnergyMonitor::recordOps(unsigned device, const std::string &model,
         row.frequencyGhz = op.frequencyGHz;
         row.throttle = op.throttle;
         row.energy = op.energy;
-        corpus_.push_back(std::move(row));
+        rows.push_back(std::move(row));
     }
+}
+
+void
+EnergyMonitor::appendRunCorpus()
+{
+    for (auto &entry : runCorpus_) {
+        corpus_.insert(corpus_.end(),
+                       std::make_move_iterator(entry.second.begin()),
+                       std::make_move_iterator(entry.second.end()));
+    }
+    runCorpus_.clear();
 }
 
 void

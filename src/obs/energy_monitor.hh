@@ -26,6 +26,12 @@
  *  - the EnergyReport JSON artifact and the dtusim_power_* /
  *    dtusim_energy_* Prometheus families.
  *
+ * A sample is taken in two halves so that serving loops can keep
+ * each chip's work on its own thread: read() copies one chip's
+ * meters and fresh audit events where that chip's work runs, and
+ * annotate() folds the readings into the sample on the loop's
+ * thread, in sample order.
+ *
  * Strictly opt-in, like every observer in this tree: without a
  * monitor attached the serving path is bit-for-bit unchanged, and
  * every JSON field the monitor adds is gated so energy-disabled
@@ -36,6 +42,7 @@
 #define DTU_OBS_ENERGY_MONITOR_HH
 
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -71,6 +78,23 @@ struct EnergyMonitorConfig
     std::size_t auditCapacity = 1024;
     /** Record the per-operator energy-feature corpus (opt-in). */
     bool corpus = false;
+};
+
+/**
+ * One device's chip-side readings at a metric sample point: the
+ * meters, the DVFS point, and the power-manager decisions recorded
+ * since the device's previous reading.
+ */
+struct ChipReading
+{
+    unsigned device = 0;
+    double joules = 0.0;
+    std::uint64_t windows = 0;
+    std::uint64_t throttled = 0;
+    double frequencyGhz = 0.0;
+    /** Audit events recorded since the previous reading, oldest
+     *  first (events the ring evicted in between are lost). */
+    std::vector<PowerEvent> audit;
 };
 
 /** One per-operator energy-feature corpus row. */
@@ -116,6 +140,9 @@ class EnergyMonitor
     /** Devices currently attached. */
     std::size_t deviceCount() const { return devices_.size(); }
 
+    /** True when @p device is attached. */
+    bool watches(unsigned device) const { return find(device) != nullptr; }
+
     /**
      * Forward drained CPME/LPME decisions to @p recorder's power
      * ring (null detaches).
@@ -134,17 +161,29 @@ class EnergyMonitor
     void beginRun(Tick at);
 
     /**
-     * Fill the power telemetry of @p sample's device entries (mean
-     * watts since the previous sample, cumulative joules, throttle
-     * fraction, DVFS point), append the sample to the series, and
-     * drain fresh audit events into the flight recorder. Called by
-     * the serving loop at its metric observation points.
+     * Read attached device @p device's chip: its meters, DVFS point
+     * and the audit events recorded since the previous read(). It
+     * touches only that chip and the device's audit cursor, so a
+     * serving loop calls it where the chip's work runs, in line with
+     * the chip's launches.
      */
-    void annotate(FleetMetricSample &sample);
+    ChipReading read(unsigned device);
 
     /**
-     * The run ended at @p at: extend the power-averaging span to the
-     * final completion and drain the audit tails.
+     * Fill the power telemetry of @p sample's device entries from
+     * @p readings (mean watts since the previous sample, cumulative
+     * joules, throttle fraction, DVFS point), append the sample to
+     * the series, and forward the readings' audit events to the
+     * flight recorder. Entries without a reading stay bare. The
+     * serving loops call it once per metric sample, in sample order.
+     */
+    void annotate(FleetMetricSample &sample,
+                  const std::vector<ChipReading> &readings);
+
+    /**
+     * The run ended at @p at, with every chip idle: extend the
+     * power-averaging span to the final completion, forward the
+     * audit tails, and append the run's corpus rows.
      */
     void endRun(Tick at);
 
@@ -161,11 +200,15 @@ class EnergyMonitor
     const PowerAuditTrail *auditTrail(unsigned device) const;
 
     /**
-     * Append one executed batch's operator traces to the energy
-     * corpus (no-op unless config().corpus).
+     * Record one executed batch's operator traces for the energy
+     * corpus (no-op unless config().corpus). @p order is the batch's
+     * launch order within the run: endRun() appends the run's rows
+     * in that order, after every earlier run's, whatever order the
+     * batches were recorded in.
      */
-    void recordOps(unsigned device, const std::string &model,
-                   const std::string &phase, const ExecResult &result);
+    void recordOps(std::uint64_t order, unsigned device,
+                   const std::string &model, const std::string &phase,
+                   const ExecResult &result);
 
     const std::vector<EnergyCorpusRow> &corpus() const
     {
@@ -208,18 +251,23 @@ class EnergyMonitor
         double lastJoules = 0.0;
         std::uint64_t lastWindows = 0;
         std::uint64_t lastThrottled = 0;
-        /** Audit events (absolute index) already forwarded. */
-        std::uint64_t forwarded = 0;
+        /** Audit events (absolute index) already read. */
+        std::uint64_t auditRead = 0;
     };
 
     DeviceState *find(unsigned device);
     const DeviceState *find(unsigned device) const;
-    void drainAudit(DeviceState &dev);
+    void forwardAudit(unsigned device,
+                      const std::vector<PowerEvent> &events);
+    /** Append the current run's corpus rows in launch order. */
+    void appendRunCorpus();
 
     EnergyMonitorConfig config_;
     std::vector<DeviceState> devices_;
     FleetMetricSeries series_;
     std::vector<EnergyCorpusRow> corpus_;
+    /** The current run's corpus rows by launch order. */
+    std::map<std::uint64_t, std::vector<EnergyCorpusRow>> runCorpus_;
     FlightRecorder *flightRec_ = nullptr;
 };
 

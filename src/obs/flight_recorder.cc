@@ -51,6 +51,8 @@ FlightRecorder::trigger(const std::string &reason, Tick at)
     if (dumped_)
         return; // latched: the black box keeps the first incident
     dumped_ = true;
+    if (beforeDump_)
+        beforeDump_();
     std::ostringstream os;
     writeDump(os, reason, at);
     dump_ = os.str();

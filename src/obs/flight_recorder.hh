@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <ostream>
 #include <string>
 
@@ -101,6 +102,16 @@ class FlightRecorder
      */
     void trigger(const std::string &reason, Tick at);
 
+    /**
+     * Run @p fn right before the first dump is written (empty
+     * detaches). A serving fleet applies its pending metric samples
+     * here, so the dump shows every sample taken up to the trigger.
+     */
+    void setBeforeDump(std::function<void()> fn)
+    {
+        beforeDump_ = std::move(fn);
+    }
+
     /** Triggers seen since the last reset (dumped or not). */
     std::uint64_t triggerCount() const { return triggers_; }
 
@@ -133,6 +144,7 @@ class FlightRecorder
     std::deque<RequestRecord> requests_;
     std::deque<FleetMetricSample> metrics_;
     std::deque<PowerEventRecord> power_;
+    std::function<void()> beforeDump_;
     std::uint64_t triggers_ = 0;
     bool dumped_ = false;
     std::string dump_;

@@ -110,14 +110,28 @@ RequestTracer::onWeightLoad(unsigned device, const std::string &model,
                  {{"bytes", static_cast<double>(bytes)}});
 }
 
+bool
+RequestTracer::linkBatch(Tracer &chip,
+                         const std::vector<serve::Request> &batch,
+                         Tick link_ts) const
+{
+    TrackId ops = chip.track("runtime", "operators");
+    for (const serve::Request &r : batch) {
+        // The hop into the chip timeline: lands inside an operator
+        // span of the batch this request rode in.
+        if (sampled(r.id))
+            chip.flow(ops, r.model + " #" + std::to_string(r.id),
+                      "request-flow", link_ts, r.id, FlowPhase::Step);
+    }
+    return chip.enabled();
+}
+
 void
-RequestTracer::onBatchExecuted(unsigned device, Tracer &chip,
+RequestTracer::onBatchExecuted(unsigned device,
                                const std::vector<serve::Request> &batch,
                                Tick dispatched, Tick exec_end,
-                               Tick link_ts, unsigned retries)
+                               unsigned retries, bool linked)
 {
-    const bool linked = chip.enabled();
-    TrackId ops = chip.track("runtime", "operators");
     for (const serve::Request &r : batch) {
         if (!sampled(r.id))
             continue;
@@ -129,10 +143,6 @@ RequestTracer::onBatchExecuted(unsigned device, Tracer &chip,
         rec.outcome.batchSize = static_cast<unsigned>(batch.size());
         rec.outcome.retries = retries;
         rec.deviceLinked = rec.deviceLinked || linked;
-        // The hop into the chip timeline: lands inside an operator
-        // span of the batch this request rode in.
-        chip.flow(ops, r.model + " #" + std::to_string(r.id),
-                  "request-flow", link_ts, r.id, FlowPhase::Step);
     }
 }
 
@@ -241,7 +251,7 @@ RequestTracer::onDrop(unsigned device,
 }
 
 void
-RequestTracer::recordMetrics(const FleetMetricSample &sample)
+RequestTracer::recordCounters(const FleetMetricSample &sample)
 {
     for (const DeviceMetricSample &d : sample.devices) {
         const std::string p = "dev" + std::to_string(d.device);
@@ -256,6 +266,11 @@ RequestTracer::recordMetrics(const FleetMetricSample &sample)
         tracer_.counter(p + ".batch_retries_total", "retries",
                         sample.at, static_cast<double>(d.retries));
     }
+}
+
+void
+RequestTracer::recordMetrics(const FleetMetricSample &sample)
+{
     series_.append(sample);
     if (flight_)
         flight_->recordMetrics(sample);

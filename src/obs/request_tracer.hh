@@ -109,17 +109,28 @@ class RequestTracer
                       Tick start, Tick end, std::uint64_t bytes);
 
     /**
+     * The chip half of a batch execution, called where the chip's
+     * work runs: a flow step lands in @p chip, the device's own
+     * tracer (currently force-enabled by the caller), at @p link_ts
+     * for every sampled rider of @p batch. @p link_ts is a tick
+     * inside one of the chip-level operator spans the batch produced.
+     * Touches only @p chip.
+     * @return whether the riders are flow-linked (chip recording).
+     */
+    bool linkBatch(Tracer &chip,
+                   const std::vector<serve::Request> &batch,
+                   Tick link_ts) const;
+
+    /**
      * A batch holding @p batch dispatched on @p device at
      * @p dispatched and executed through @p exec_end after
-     * @p retries re-runs. @p chip is the device's own tracer —
-     * currently force-enabled by the caller — and @p link_ts is a
-     * tick inside one of the chip-level operator spans the batch
-     * produced; a flow step lands there for every sampled rider.
+     * @p retries re-runs; @p linked is linkBatch()'s result. Called
+     * by the serving loop when it reads the batch's result.
      */
-    void onBatchExecuted(unsigned device, Tracer &chip,
+    void onBatchExecuted(unsigned device,
                          const std::vector<serve::Request> &batch,
                          Tick dispatched, Tick exec_end,
-                         Tick link_ts, unsigned retries);
+                         unsigned retries, bool linked);
 
     /** Terminal state: @p completed finished on @p device. */
     void onComplete(unsigned device,
@@ -134,7 +145,18 @@ class RequestTracer
 
     Tick metricPeriod() const { return config_.metricPeriod; }
 
-    /** Ingest one fleet snapshot: counter tracks + series + ring. */
+    /**
+     * Emit one fleet snapshot's counter tracks. Called at the sample
+     * tick: the counters read only the loop's own fields, and their
+     * place among the other trace events fixes the merged trace.
+     */
+    void recordCounters(const FleetMetricSample &sample);
+
+    /**
+     * Append one fleet snapshot, power telemetry included, to the
+     * series and the flight recorder's ring. Called once per
+     * snapshot, in sample order, after recordCounters().
+     */
     void recordMetrics(const FleetMetricSample &sample);
 
     const FleetMetricSeries &metrics() const { return series_; }

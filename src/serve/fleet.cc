@@ -7,6 +7,8 @@
 #include "obs/request_tracer.hh"
 #include "obs/slo_monitor.hh"
 #include "serve/arrival.hh"
+#include "serve/metric_sampler.hh"
+#include "sim/fault.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/lane_executor.hh"
@@ -208,19 +210,31 @@ Fleet::setEnergyMonitor(obs::EnergyMonitor *monitor)
         devices_[i]->setEnergyMonitor(monitor, i);
 }
 
+void
+Fleet::flushMetricSamples()
+{
+    if (sampler_)
+        sampler_->flush();
+}
+
 unsigned
 Fleet::effectiveThreads() const
 {
     unsigned threads = std::max(1u, config_.threads);
     threads = static_cast<unsigned>(
         std::min<std::size_t>(threads, devices_.size()));
-    if (threads > 1 && (sloMon_ || reqTracer_ || energyMon_)) {
-        warn("fleet observers (SLO monitor / request tracer / energy "
-             "monitor) need a globally ordered record stream; serving "
-             "with threads=1");
+    if (threads <= 1)
         return 1;
+    for (const auto &dev : devices_) {
+        const FaultInjector *faults = dev->chip().faults();
+        if (faults && faults->hasListener()) {
+            warn("a fault listener runs inside chip execution and may "
+                 "read fleet-side state as of the faulting launch; "
+                 "serving with threads=1");
+            return 1;
+        }
     }
-    if (threads > 1 && fabric_ && fabric_->peerTrafficSharesRoot()) {
+    if (fabric_ && fabric_->peerTrafficSharesRoot()) {
         warn("shared-root fabric topologies route group collectives "
              "over the shared root link, which the fleet thread books "
              "weight loads on; serving with threads=1");
@@ -292,15 +306,23 @@ Fleet::serve(std::vector<Request> trace)
     struct Detach
     {
         std::vector<std::unique_ptr<Scheduler>> &devices;
+        MetricSampler *&sampler;
         ~Detach()
         {
             for (auto &dev : devices)
                 dev->setLanes(nullptr, 0);
+            sampler = nullptr;
         }
-    } detach{devices_};
+    } detach{devices_, sampler_};
     LaneExecutor lanes(effectiveThreads(), static_cast<unsigned>(n));
     for (unsigned i = 0; i < n; ++i)
         devices_[i]->setLanes(&lanes, i);
+    // The chip energy-monitor device d reads is physical device d,
+    // whose work runs on its placement group's lane.
+    MetricSampler sampler(
+        lanes, [g = groupSize_](unsigned d) { return d / g; },
+        reqTracer_, energyMon_);
+    sampler_ = &sampler;
 
     admitUpTo(now);
     for (unsigned i = 0; i < n; ++i) {
@@ -311,9 +333,7 @@ Fleet::serve(std::vector<Request> trace)
     // wakes early for them only while a real event is still pending,
     // and the settle/advance steps are idempotent at non-event ticks,
     // so sampling never changes simulated results (or termination).
-    const Tick metric_period =
-        reqTracer_ ? reqTracer_->metricPeriod()
-                   : (energyMon_ ? energyMon_->samplePeriod() : 0);
+    const Tick metric_period = sampler.period();
     Tick next_sample =
         metric_period ? (now / metric_period + 1) * metric_period
                       : kNever;
@@ -353,10 +373,7 @@ Fleet::serve(std::vector<Request> trace)
             for (unsigned i = 0; i < n; ++i)
                 sample.devices.push_back(
                     devices_[i]->metricSample(i));
-            if (energyMon_)
-                energyMon_->annotate(sample);
-            if (reqTracer_)
-                reqTracer_->recordMetrics(sample);
+            sampler.take(std::move(sample));
             next_sample = (now / metric_period + 1) * metric_period;
         }
         if (sloMon_)
@@ -364,6 +381,7 @@ Fleet::serve(std::vector<Request> trace)
     }
     for (unsigned i = 0; i < n; ++i)
         lanes.drain(i);
+    sampler.flush();
     Tick last_completion = 0;
     for (const auto &dev : devices_)
         last_completion =

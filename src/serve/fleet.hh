@@ -70,6 +70,8 @@ namespace dtu
 namespace serve
 {
 
+class MetricSampler;
+
 /** How the fleet router picks a device for each arrival. */
 enum class RoutingPolicy
 {
@@ -128,13 +130,16 @@ struct FleetConfig
      * launch inline on the fleet thread. With more, launches run on
      * per-device FIFO lanes while the serial loop goes on until it
      * reaches a launch's latency floor (see the file comment); every
-     * report is bit-identical to threads=1. Runs with an SLO monitor,
-     * request tracer or energy monitor attached fall back to
-     * threads=1 (with a warning): those observers promise one
-     * globally ordered record stream. So do shared-root fabric
-     * topologies under a model-parallel placement, whose peer traffic
-     * crosses the shared root link the fleet thread books weight
-     * loads on.
+     * report is bit-identical to threads=1, and so is every
+     * observer's artifact: launch records reach the observers when
+     * the fleet thread reads a launch, and metric samples read the
+     * chips from their lanes. Two cases fall back to threads=1 (with
+     * a warning): a chip whose fault injector has a listener (the
+     * listener runs inside chip execution and may read fleet-side
+     * state, such as the flight recorder's rings, as of the faulting
+     * launch), and shared-root fabric topologies under a
+     * model-parallel placement, whose peer traffic crosses the shared
+     * root link the fleet thread books weight loads on.
      */
     unsigned threads = 1;
     /**
@@ -285,6 +290,14 @@ class Fleet
      */
     void setEnergyMonitor(obs::EnergyMonitor *monitor);
 
+    /**
+     * Apply the metric samples serve() has taken so far to the
+     * observers, waiting for their chip readings (see
+     * serve/metric_sampler.hh). A no-op outside serve(); call it
+     * from the fleet thread, e.g. before a flight-recorder dump.
+     */
+    void flushMetricSamples();
+
   private:
     /** Threads serve() will actually use (clamp + fallback). */
     unsigned effectiveThreads() const;
@@ -308,6 +321,8 @@ class Fleet
     obs::SloMonitor *sloMon_ = nullptr;
     obs::RequestTracer *reqTracer_ = nullptr;
     obs::EnergyMonitor *energyMon_ = nullptr;
+    /** serve()'s metric sampler while it runs. */
+    MetricSampler *sampler_ = nullptr;
 };
 
 /**

@@ -10,6 +10,7 @@
 #include "obs/request_tracer.hh"
 #include "obs/slo_monitor.hh"
 #include "serve/arrival.hh"
+#include "serve/metric_sampler.hh"
 #include "sim/logging.hh"
 #include "sim/tracer.hh"
 #include "tensor/dtype.hh"
@@ -716,9 +717,9 @@ Scheduler::submitLaunch(PhaseBreakdown *phase, ChipPart &&chip)
     PendingRun &pending = pending_.emplace_back();
     pending.phase = phase;
     pending.ticket = lanes_->submit(
-        lane_, [&run = pending.run, chip = std::forward<ChipPart>(chip)] {
-            run = chip();
-        });
+        lane_,
+        [&run = pending.run,
+         chip = std::forward<ChipPart>(chip)]() mutable { run = chip(); });
     return pending.ticket;
 }
 
@@ -730,7 +731,7 @@ Scheduler::onChip(std::function<void()> fn)
 
 Scheduler::BatchRun
 Scheduler::executeBatch(const ExecutionPlan &p,
-                        const std::vector<Request> &sampled,
+                        std::vector<Request> sampled,
                         const std::vector<unsigned> &groups, Tick now,
                         unsigned max_retries, bool record_ops,
                         const std::string &model, const char *phase)
@@ -794,13 +795,17 @@ Scheduler::executeBatch(const ExecutionPlan &p,
                           (r.trace.front().end -
                            r.trace.front().start) /
                               2;
-            reqTracer_->onBatchExecuted(deviceId_, dtu_.tracer(),
-                                        sampled, now, r.end, link,
-                                        run.retries);
+            run.linked = reqTracer_->linkBatch(dtu_.tracer(), sampled,
+                                               link);
         }
     }
-    if (corpus)
-        energyMon_->recordOps(deviceId_, model, phase, run.result);
+    // The observers' records are applied when the launch is read.
+    run.sampled = std::move(sampled);
+    run.launched = now;
+    if (corpus) {
+        run.model = model;
+        run.phase = phase;
+    }
     run.end = run.result.end;
     return run;
 }
@@ -860,6 +865,15 @@ Scheduler::readThrough(std::uint64_t seq)
             accumulatePhase(*p.phase, run.result);
         batchRetries_ += run.retries;
         retryStat_ += static_cast<double>(run.retries);
+        if (!run.sampled.empty())
+            reqTracer_->onBatchExecuted(deviceId_, run.sampled,
+                                        run.launched, run.result.end,
+                                        run.retries, run.linked);
+        // Read-back order across devices is not launch order: the
+        // lane seq puts the corpus rows back in launch order.
+        if (run.phase)
+            energyMon_->recordOps(p.ticket.seq, deviceId_, run.model,
+                                  run.phase, run.result);
         auto active = std::find_if(
             active_.begin(), active_.end(), [&](const ActiveBatch &b) {
                 return b.ticket.seq == p.ticket.seq;
@@ -1157,10 +1171,11 @@ Scheduler::launchOneShots(Tick now)
                     nullptr,
                     [this, &plan = p.plan, sampled = sampledRiders(reqs),
                      groups = lease->groups, now,
-                     retries = degrade.maxBatchRetries, model] {
-                        return executeBatch(plan, sampled, groups, now,
-                                            retries, false, model,
-                                            "batch");
+                     retries = degrade.maxBatchRetries,
+                     model]() mutable {
+                        return executeBatch(plan, std::move(sampled),
+                                            groups, now, retries, false,
+                                            model, "batch");
                     });
                 batch.dispatched = now;
                 batch.tenant = nextTenant_;
@@ -1314,10 +1329,10 @@ Scheduler::launchGeneration(Tick now)
                     [this, &plan = p.plan, sampled = sampledRiders(reqs),
                      groups = lease->groups, now,
                      retries = degrade.maxBatchRetries, model, size,
-                     prompt] {
+                     prompt]() mutable {
                         BatchRun run = executeBatch(
-                            plan, sampled, groups, now, retries, true,
-                            model, "prefill");
+                            plan, std::move(sampled), groups, now,
+                            retries, true, model, "prefill");
                         if (shardedDecoder(model))
                             run.end = shardOverlay(model, now, run.end,
                                                    size, prompt);
@@ -1369,9 +1384,9 @@ Scheduler::launchDecodeStep(DecodeBatch &b, Tick now)
         &genLog_.decode,
         [this, &plan = p.plan, sampled = sampledRiders(riders),
          groups = b.groups, now, model = b.model, cost_batch,
-         live = b.seqs.size(), ctx] {
-            BatchRun run = executeBatch(plan, sampled, groups, now, 0,
-                                        true, model, "decode");
+         live = b.seqs.size(), ctx]() mutable {
+            BatchRun run = executeBatch(plan, std::move(sampled), groups,
+                                        now, 0, true, model, "decode");
             const Tick compute_end = run.end;
             if (shardedDecoder(model))
                 run.end = shardOverlay(model, now, compute_end,
@@ -1440,7 +1455,11 @@ Scheduler::nextEvent(Tick now) const
 obs::DeviceMetricSample
 Scheduler::metricSample(unsigned device)
 {
-    drainChip();
+    // Retries are counted as launches are read, and a serial loop's
+    // sample counts every launch so far: a chip that can retry reads
+    // them all first. The other fields are the loop's own state.
+    if (faults_ && !pending_.empty())
+        readThrough(pending_.back().ticket.seq);
     obs::DeviceMetricSample d;
     d.device = device;
     d.queueDepth = queueDepth();
@@ -1509,6 +1528,9 @@ Scheduler::serve(std::vector<Request> trace)
     begin(now, &future);
     if (energyMon_)
         energyMon_->beginRun(now);
+    MetricSampler sampler(
+        *lanes_, [lane = lane_](unsigned) { return lane; }, reqTracer_,
+        energyMon_);
 
     std::size_t next_arrival = 0;
     auto admitUpTo = [&](Tick upto) {
@@ -1526,9 +1548,7 @@ Scheduler::serve(std::vector<Request> trace)
     // wakes early for them only while a real event is still pending,
     // and the settle/advance steps are idempotent at non-event ticks,
     // so sampling never changes simulated results (or termination).
-    const Tick metric_period =
-        reqTracer_ ? reqTracer_->metricPeriod()
-                   : (energyMon_ ? energyMon_->samplePeriod() : 0);
+    const Tick metric_period = sampler.period();
     Tick next_sample =
         metric_period ? (now / metric_period + 1) * metric_period
                       : kNever;
@@ -1557,10 +1577,7 @@ Scheduler::serve(std::vector<Request> trace)
             obs::FleetMetricSample sample;
             sample.at = now;
             sample.devices.push_back(metricSample(deviceId_));
-            if (energyMon_)
-                energyMon_->annotate(sample);
-            if (reqTracer_)
-                reqTracer_->recordMetrics(sample);
+            sampler.take(std::move(sample));
             next_sample = (now / metric_period + 1) * metric_period;
         }
         // Close SLO windows the loop just stepped past. Events land
@@ -1569,6 +1586,7 @@ Scheduler::serve(std::vector<Request> trace)
         if (sloMon_)
             sloMon_->advanceTo(now);
     }
+    sampler.flush();
     if (sloMon_)
         sloMon_->finish(std::max(now, lastCompletion_));
     if (energyMon_)

@@ -414,7 +414,12 @@ class Scheduler
     /** Poisoned-batch re-executions so far this run. */
     std::uint64_t batchRetryCount() const { return batchRetries_; }
 
-    /** Snapshot the live serving state as fleet device @p device. */
+    /**
+     * Snapshot the live serving state as fleet device @p device: the
+     * loop half of a metric sample (serve/metric_sampler.hh). It
+     * waits for the chip only when the chip can retry, since retries
+     * count when launches are read.
+     */
     obs::DeviceMetricSample metricSample(unsigned device);
 
     /** Highest queue depth seen this run. */
@@ -529,6 +534,18 @@ class Scheduler
         unsigned retries = 0;
         bool poisoned = false;
         ExecResult result;
+
+        //
+        // The observers' records, applied when the launch is read.
+        //
+        /** The riders when the request tracer samples one. */
+        std::vector<Request> sampled;
+        Tick launched = 0;
+        /** The riders' flow steps landed in a recording chip tracer. */
+        bool linked = false;
+        /** The energy-corpus labels; phase is null without a corpus. */
+        std::string model;
+        const char *phase = nullptr;
     };
 
     /** A launch whose result the driving thread has not read yet. */
@@ -607,14 +624,16 @@ class Scheduler
 
     /**
      * Run @p p on @p groups at @p now with the poison-retry loop and
-     * request-tracer hooks: a launch's chip part, on the lane.
-     * @p sampled holds the riders when one is sampled by the request
-     * tracer (empty otherwise). @p record_ops forces per-operator
-     * traces (phase attribution). @p phase labels the execution for
-     * the energy corpus ("batch", "prefill", "decode").
+     * the request tracer's chip-side flow steps: a launch's chip
+     * part, on the lane. @p sampled holds the riders when one is
+     * sampled by the request tracer (empty otherwise). @p record_ops
+     * forces per-operator traces (phase attribution). @p phase labels
+     * the execution for the energy corpus ("batch", "prefill",
+     * "decode"). The observers' records travel in the BatchRun to
+     * readThrough().
      */
     BatchRun executeBatch(const ExecutionPlan &p,
-                          const std::vector<Request> &sampled,
+                          std::vector<Request> sampled,
                           const std::vector<unsigned> &groups,
                           Tick now, unsigned max_retries,
                           bool record_ops, const std::string &model,
@@ -641,7 +660,10 @@ class Scheduler
      */
     void readResults(Tick upto);
 
-    /** Read launches in launch order through lane seq @p seq. */
+    /**
+     * Read launches in launch order through lane seq @p seq, and hand
+     * their records to the request tracer and the energy corpus.
+     */
     void readThrough(std::uint64_t seq);
 
     /** Finish every lane task and read every launch. */

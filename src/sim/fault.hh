@@ -162,6 +162,9 @@ class FaultInjector
         callback_ = std::move(callback);
     }
 
+    /** True while an onFault() callback is installed. */
+    bool hasListener() const { return static_cast<bool>(callback_); }
+
     const FaultConfig &config() const { return config_; }
 
     //

@@ -153,6 +153,13 @@ LaneExecutor::drain(unsigned lane)
     surface(lock, seq);
 }
 
+bool
+LaneExecutor::done(Ticket ticket)
+{
+    Lock lock(mutex_);
+    return lanes_[ticket.lane].finished >= ticket.seq;
+}
+
 void
 LaneExecutor::helperMain()
 {

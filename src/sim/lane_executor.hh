@@ -75,6 +75,10 @@ class LaneExecutor
     /** wait() for every task submitted to @p lane so far. */
     void drain(unsigned lane);
 
+    /** True once @p ticket's task has run (wait() returns at once,
+     *  or rethrows). Never runs a task. */
+    bool done(Ticket ticket);
+
   private:
     struct Task
     {

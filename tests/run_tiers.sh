@@ -15,7 +15,8 @@
 # Tier 4 rebuilds with -DDTU_SANITIZE=thread and runs the tests that
 # exercise the fleet's lane executor (sim/lane_executor.hh) and the
 # calendar event queue: the lane and floor tests, the determinism
-# harness, the fleet/serving suites, and the golden replays. TSan and ASan cannot share a build
+# harness, the fleet/serving suites, the golden replays, and the
+# observers that run on the lanes. TSan and ASan cannot share a build
 # tree, hence the separate build-tsan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,8 +33,9 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Suites covering the lane executor, fleet path + event queue (tier 4).
-tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor)\.'
+# Suites covering the lane executor, fleet path, event queue and the
+# observers on the lanes (tier 4).
+tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor|EnergyMonitorTest|FlightRecorder|RequestTrace|SloMonitor|Prometheus|PrometheusEnergy|GoldenEnergyReport)\.'
 
 echo "== tier 1: fast tests =="
 cmake -B build -S . >/dev/null

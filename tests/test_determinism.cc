@@ -23,14 +23,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/server.hh"
 #include "serve/arrival.hh"
 #include "serve/fleet.hh"
 #include "sim/fault.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -123,8 +127,8 @@ genSpecs(std::uint64_t seed)
  * per-request outcome logs, plus every device's final StatRegistry
  * dump in @p stats_out.
  */
-std::string
-runOnce(unsigned threads, const Workload &w, std::string *stats_out)
+FleetConfig
+workloadConfig(unsigned threads, const Workload &w)
 {
     FleetConfig config = fleetConfig(threads);
     if (w.fleetMix) {
@@ -141,7 +145,13 @@ runOnce(unsigned threads, const Workload &w, std::string *stats_out)
         config.placement.degree = 2;
         config.placement.microbatches = 4;
     }
-    FleetServer fleet(config);
+    return config;
+}
+
+std::string
+runOnce(unsigned threads, const Workload &w, std::string *stats_out)
+{
+    FleetServer fleet(workloadConfig(threads, w));
     if (w.faults) {
         for (unsigned i = 0; i < fleet.size(); ++i) {
             FaultConfig f;
@@ -307,19 +317,223 @@ TEST(Determinism, SharedRootShardingFallsBackToSerial)
 
 TEST(Determinism, ObserversFallBackToSerialWithIdenticalReports)
 {
-    // An attached SLO monitor needs the global record order only the
-    // serial loop provides; threads>1 must fall back (with a warning)
-    // and still produce the threads=1 result.
-    const Workload w{"observer", 5, false, false, false};
-    auto run = [&](unsigned threads) {
+    // Observers alone serve on lanes (see the artifact test below);
+    // the one observer left on the serial loop is a fault listener,
+    // which runs inside chip execution and reads fleet-side state as
+    // of the faulting launch. The flight recorder's fault trigger is
+    // one: threads>1 must fall back (with a warning) and still
+    // produce the threads=1 result, dump included.
+    const Workload w{"observer", 5, false, true, false};
+    auto run = [&](unsigned threads, std::string *dump,
+                   std::string *warning) {
         FleetServer fleet(fleetConfig(threads));
         fleet.enableSloMonitor();
+        obs::FlightRecorder &rec = fleet.enableFlightRecorder({});
+        for (unsigned i = 0; i < fleet.size(); ++i) {
+            FaultConfig f;
+            f.seed = w.seed * 97 + i;
+            f.eccCorrectablePerGiB = 60.0;
+            f.dmaTransientRate = 5e-4;
+            fleet.device(i).installFaults(f);
+        }
         fleet.submit(oneShotTrace(w));
+        bool was_enabled = loggingEnabled();
+        setLoggingEnabled(true);
+        testing::internal::CaptureStderr();
+        const FleetReport &report = fleet.serveFleet();
+        *warning = testing::internal::GetCapturedStderr();
+        setLoggingEnabled(was_enabled);
+        *dump = rec.lastDump();
         std::ostringstream os;
-        writeJson(fleet.serveFleet(), os, /*per_request=*/true);
+        writeJson(report, os, /*per_request=*/true);
         return os.str();
     };
-    expectSameText(run(1), run(4), "observer fallback");
+    std::string serial_dump, parallel_dump;
+    std::string serial_warning, parallel_warning;
+    const std::string serial = run(1, &serial_dump, &serial_warning);
+    const std::string parallel = run(4, &parallel_dump, &parallel_warning);
+    if (loggingEnabled()) {
+        EXPECT_NE(parallel_warning.find("fault listener"),
+                  std::string::npos)
+            << parallel_warning;
+        EXPECT_NE(parallel_warning.find("threads=1"), std::string::npos);
+        EXPECT_EQ(serial_warning.find("fault listener"),
+                  std::string::npos);
+    }
+    ASSERT_FALSE(serial_dump.empty());
+    expectSameText(serial, parallel, "observer fallback");
+    expectSameText(serial_dump, parallel_dump, "observer fallback dump");
+}
+
+/** FNV-1a (64-bit) of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Every artifact a fully observed fleet run writes, by name. */
+using Artifacts = std::vector<std::pair<std::string, std::string>>;
+
+/**
+ * Serve the fleet_mix-shaped trace at @p threads with every observer
+ * attached: an SLO monitor whose burn-rate alert fires mid-run, a
+ * request tracer at @p sample_rate, an energy monitor with the
+ * corpus on, and a flight recorder. With @p faults every chip draws
+ * ECC and DMA faults instead, and the flight recorder stays off (its
+ * fault trigger would serve at threads=1). @p log receives the
+ * warnings.
+ */
+Artifacts
+observedRun(unsigned threads, double sample_rate, bool faults,
+            std::string *log)
+{
+    const Workload w{"fleet_mix", 83, false, false, false, true};
+    FleetConfig config = workloadConfig(threads, w);
+    // Power management on, so the CPME audit trail has decisions
+    // for the energy monitor's chip readings to carry.
+    config.serving.exec.powerManagement = true;
+    if (faults)
+        config.serving.degradation.maxBatchRetries = 2;
+    FleetServer fleet(config);
+    // fleet_mix's arrivals with deadlines tight enough to burn.
+    std::vector<Request> trace = finalizeTrace(
+        {poissonTrace("resnet50", 12000.0, 72, w.seed,
+                      secondsToTicks(3e-3)),
+         poissonTrace("bert_large", 4000.0, 24, w.seed + 1,
+                      secondsToTicks(10e-3))});
+    obs::SloMonitor &slo =
+        fleet.enableSloMonitor({.window = secondsToTicks(1e-3),
+                                .sloTarget = 0.999,
+                                .burnRateAlert = 2.0});
+    obs::RequestTracer &tracer = fleet.enableRequestTracing(
+        {.sampleRate = sample_rate, .seed = 7});
+    obs::EnergyMonitor &energy =
+        fleet.enableEnergyMonitor({.corpus = true});
+    const obs::FlightRecorder *rec =
+        faults ? nullptr : &fleet.enableFlightRecorder({});
+    for (unsigned i = 0; faults && i < fleet.size(); ++i) {
+        FaultConfig f;
+        f.seed = w.seed * 97 + i;
+        f.eccCorrectablePerGiB = 60.0;
+        f.eccUncorrectablePerGiB = 3.0;
+        f.dmaTransientRate = 5e-4;
+        fleet.device(i).installFaults(f);
+    }
+    fleet.submit(trace);
+
+    const bool was_enabled = loggingEnabled();
+    setLoggingEnabled(true);
+    testing::internal::CaptureStderr();
+    const FleetReport &report = fleet.serveFleet();
+    *log = testing::internal::GetCapturedStderr();
+    setLoggingEnabled(was_enabled);
+
+    Artifacts out;
+    auto add = [&](const char *name, auto write) {
+        std::ostringstream os;
+        write(os);
+        out.emplace_back(name, os.str());
+    };
+    add("report", [&](std::ostream &os) {
+        writeJson(report, os, /*per_request=*/true);
+    });
+    add("trace", [&](std::ostream &os) { fleet.exportFleetTrace(os); });
+    add("energy", [&](std::ostream &os) { energy.writeJson(os); });
+    add("corpus", [&](std::ostream &os) { energy.writeCorpusJson(os); });
+    add("prometheus", [&](std::ostream &os) { fleet.writePrometheus(os); });
+    add("slo_alerts", [&](std::ostream &os) { slo.writeJson(os); });
+    add("flight_dump", [&](std::ostream &os) {
+        if (rec)
+            os << rec->lastDump();
+    });
+    EXPECT_GT(tracer.sampledSeen(), 0u);
+    return out;
+}
+
+TEST(Determinism, ObserverArtifactsByteIdenticalAcrossThreadCounts)
+{
+    // Every observer runs on the lanes: launch records are applied
+    // when the fleet thread reads a launch, metric samples read the
+    // chips from their lanes, and the flight recorder applies the
+    // pending samples before it dumps. Each artifact must equal the
+    // threads=1 one, and the threads=1 ones must equal the serial
+    // loop's from before observers ran on lanes (pinned digests).
+    const struct
+    {
+        double rate;
+        bool faults;
+        std::map<std::string, std::uint64_t> digests;
+    } cases[] = {
+        {0.1,
+         false,
+         {{"report", 0x1835d51a77764c9eull},
+          {"trace", 0x381c1690c72009ull},
+          {"energy", 0xfb62c42dda3a2f79ull},
+          {"corpus", 0x53b257e9a404d17eull},
+          {"prometheus", 0x46aebd69f9f1ab3aull},
+          {"slo_alerts", 0x26d4cf5561c3bb4eull},
+          {"flight_dump", 0xcccc74fc366a8bdull}}},
+        {1.0,
+         false,
+         {{"report", 0x1835d51a77764c9eull},
+          {"trace", 0x5b4ff4cd0e3ecab8ull},
+          {"energy", 0xfb62c42dda3a2f79ull},
+          {"corpus", 0x53b257e9a404d17eull},
+          {"prometheus", 0x46aebd69f9f1ab3aull},
+          {"slo_alerts", 0x26d4cf5561c3bb4eull},
+          {"flight_dump", 0x9e6fc221761c0592ull}}},
+        // Retries count when launches are read: each sample of a
+        // chip that can retry reads its launches first.
+        {1.0,
+         true,
+         {{"report", 0x7e5398f0cfc47e74ull},
+          {"trace", 0xc04e7e7edcc60138ull},
+          {"energy", 0xd9f26940bff3a2f6ull},
+          {"corpus", 0xc8bbd3fdffafec7eull},
+          {"prometheus", 0xa4c34cf3d0af1e8aull},
+          {"slo_alerts", 0xa0326cbeba3cdc56ull},
+          {"flight_dump", 0xcbf29ce484222325ull}}},
+    };
+    for (const auto &c : cases) {
+        const std::string label = "p=" + std::to_string(c.rate) +
+                                  (c.faults ? " faults" : "");
+        std::string log;
+        const Artifacts base = observedRun(1, c.rate, c.faults, &log);
+        for (const auto &[name, text] : base) {
+            EXPECT_EQ(fnv1a(text), c.digests.at(name))
+                << label << " " << name << " digest 0x" << std::hex
+                << fnv1a(text);
+        }
+        // The SLO burn dumps mid-run, with samples still pending.
+        const std::string &dump = base.back().second;
+        if (!c.faults) {
+            ASSERT_NE(dump.find("\"reason\": \"slo:slo_burn_rate\""),
+                      std::string::npos)
+                << dump;
+            EXPECT_EQ(dump.find("\"buffered_power_events\": 0,"),
+                      std::string::npos);
+        }
+        for (unsigned threads : {2u, 4u, 8u}) {
+            const Artifacts other =
+                observedRun(threads, c.rate, c.faults, &log);
+            EXPECT_EQ(log.find("serving with threads=1"),
+                      std::string::npos)
+                << log;
+            ASSERT_EQ(other.size(), base.size());
+            for (std::size_t i = 0; i < base.size(); ++i) {
+                expectSameText(base[i].second, other[i].second,
+                               label + " " + base[i].first +
+                                   ", threads=" +
+                                   std::to_string(threads));
+            }
+        }
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -249,7 +250,7 @@ TEST(EnergyMonitorTest, AnnotateGuardsZeroSpansAndZeroWindows)
     sample.devices.push_back(dev);
     // dt == 0 and zero CPME windows: both ratios must clamp to 0
     // instead of dividing by zero.
-    monitor.annotate(sample);
+    monitor.annotate(sample, {monitor.read(0)});
     const obs::DeviceMetricSample &d = sample.devices[0];
     ASSERT_TRUE(d.hasPower);
     EXPECT_TRUE(std::isfinite(d.powerWatts));
@@ -307,19 +308,30 @@ TEST(SloMonitorGuards, BurnRateStaysFiniteAtExtremeTargets)
 }
 
 //
-// 5. Fleet integration: serial fallback and the generation rollup.
+// 5. Fleet integration: the fault-listener fallback, corpus order and
+//    the generation rollup. (Observer artifacts at every thread
+//    count: test_determinism.cc.)
 //
 
 TEST(EnergyMonitorTest, FleetThreadsFallBackToSerialWithWarning)
 {
-    auto run = [](unsigned threads, std::string *warning) {
+    // The energy monitor itself serves on lanes; a fault listener (the
+    // flight recorder's fault trigger) downgrades the fleet to the
+    // serial driver with a warning. Either way the fleet report and
+    // the energy report reproduce the serial run byte-for-byte.
+    auto run = [](unsigned threads, bool listener, std::string *warning) {
         serve::FleetConfig config;
         config.devices = 2;
         config.threads = threads;
         config.serving.batching.maxBatch = 4;
         config.serving.batching.maxQueueDelay = secondsToTicks(1e-3);
         FleetServer fleet(config);
-        fleet.enableEnergyMonitor();
+        obs::EnergyMonitor &energy = fleet.enableEnergyMonitor();
+        if (listener)
+            fleet.enableFlightRecorder({});
+        for (unsigned i = 0; i < fleet.size(); ++i)
+            fleet.device(i).installFaults(
+                {.seed = 11 + i, .eccCorrectablePerGiB = 60.0});
         fleet.submit(serve::finalizeTrace(
             {serve::poissonTrace("conformer", 4000.0, 24, /*seed=*/5,
                                  secondsToTicks(10e-3))}));
@@ -331,25 +343,77 @@ TEST(EnergyMonitorTest, FleetThreadsFallBackToSerialWithWarning)
         setLoggingEnabled(was_enabled);
         std::ostringstream os;
         serve::writeJson(r, os, /*per_request=*/true);
+        energy.writeJson(os);
         return os.str();
     };
 
-    std::string serial_warning, parallel_warning;
-    std::string serial = run(1, &serial_warning);
-    std::string parallel = run(2, &parallel_warning);
+    for (bool listener : {false, true}) {
+        std::string serial_warning, parallel_warning;
+        std::string serial = run(1, listener, &serial_warning);
+        std::string parallel = run(2, listener, &parallel_warning);
 
-    // threads=2 with an observer attached downgrades to the serial
-    // driver (the monitor needs a globally ordered record stream)...
-    if (loggingEnabled()) {
-        EXPECT_NE(parallel_warning.find("energy monitor"),
-                  std::string::npos)
-            << parallel_warning;
-        EXPECT_NE(parallel_warning.find("threads=1"), std::string::npos);
-        EXPECT_EQ(serial_warning.find("energy monitor"),
-                  std::string::npos);
+        // threads=2 downgrades to the serial driver only when a fault
+        // listener is attached...
+        if (loggingEnabled()) {
+            EXPECT_EQ(parallel_warning.find("threads=1") !=
+                          std::string::npos,
+                      listener)
+                << parallel_warning;
+            EXPECT_EQ(parallel_warning.find("fault listener") !=
+                          std::string::npos,
+                      listener)
+                << parallel_warning;
+            EXPECT_EQ(serial_warning.find("threads=1"),
+                      std::string::npos);
+        }
+        // ...and reproduces the serial run byte-for-byte either way.
+        EXPECT_EQ(serial, parallel) << "listener " << listener;
     }
-    // ...and reproduces the serial run byte-for-byte.
+}
+
+TEST(EnergyMonitorTest, CorpusKeepsLaunchOrderAcrossServes)
+{
+    // The fleet thread records a launch's corpus rows when it reads
+    // the launch, which on lanes is not launch order across devices.
+    // Each serve's rows must still come out in launch order (as at
+    // threads=1), and after every earlier serve's rows.
+    auto run = [](unsigned threads) {
+        serve::FleetConfig config;
+        config.devices = 4;
+        config.threads = threads;
+        config.serving.batching.maxBatch = 4;
+        config.serving.batching.maxQueueDelay = secondsToTicks(1e-3);
+        FleetServer fleet(config);
+        obs::EnergyMonitor &energy =
+            fleet.enableEnergyMonitor({.corpus = true});
+        std::vector<std::vector<std::string>> rows;
+        for (std::uint64_t seed : {5u, 9u}) {
+            fleet.submit(serve::finalizeTrace(
+                {serve::poissonTrace("resnet50", 12000.0, 24, seed,
+                                     secondsToTicks(20e-3)),
+                 serve::poissonTrace("conformer", 4000.0, 8, seed + 1,
+                                     secondsToTicks(30e-3))}));
+            fleet.serveFleet();
+            std::vector<std::string> &serve = rows.emplace_back();
+            for (const obs::EnergyCorpusRow &row : energy.corpus()) {
+                std::ostringstream key;
+                key << row.device << " " << row.model << " "
+                    << row.phase << " " << row.op << " " << std::hexfloat
+                    << row.energy.total() << " " << row.frequencyGhz;
+                serve.push_back(key.str());
+            }
+        }
+        return rows;
+    };
+    const auto serial = run(1);
+    const auto parallel = run(4);
     EXPECT_EQ(serial, parallel);
+    ASSERT_EQ(serial.size(), 2u);
+    const std::vector<std::string> &first = serial[0];
+    const std::vector<std::string> &both = serial[1];
+    ASSERT_FALSE(first.empty());
+    ASSERT_GT(both.size(), first.size());
+    EXPECT_TRUE(std::equal(first.begin(), first.end(), both.begin()));
 }
 
 TEST(EnergyMonitorTest, GenerationRunReportsJoulesPerToken)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the fleet's lane executor (sim/lane_executor.hh): per-lane
  * FIFO order without overlap, help-while-wait, inline execution at
- * threads = 1, and deterministic exception surfacing.
+ * threads = 1, polling with done(), and deterministic exception
+ * surfacing.
  */
 
 #include <gtest/gtest.h>
@@ -68,6 +69,35 @@ TEST(LaneExecutor, SingleThreadRunsEveryTaskAtSubmit)
     });
     EXPECT_TRUE(ran);
     EXPECT_EQ(ran_on, caller);
+}
+
+TEST(LaneExecutor, DoneReportsWithoutRunningTasks)
+{
+    // done() polls: a queued task stays queued, and a task a helper
+    // is running reads as not done until it returns.
+    LaneExecutor lanes(2, 2);
+    std::atomic<bool> started{false};
+    std::atomic<bool> released{false};
+    const LaneExecutor::Ticket running = lanes.submit(0, [&] {
+        started = true;
+        while (!released)
+            std::this_thread::yield();
+    });
+    while (!started)
+        std::this_thread::yield();
+    bool queued_ran = false;
+    const LaneExecutor::Ticket queued =
+        lanes.submit(0, [&] { queued_ran = true; });
+    EXPECT_FALSE(lanes.done(running));
+    EXPECT_FALSE(lanes.done(queued));
+    EXPECT_FALSE(queued_ran);
+    released = true;
+    lanes.wait(queued);
+    EXPECT_TRUE(lanes.done(running));
+    EXPECT_TRUE(lanes.done(queued));
+
+    LaneExecutor inline_lanes(1, 1);
+    EXPECT_TRUE(inline_lanes.done(inline_lanes.submit(0, [] {})));
 }
 
 TEST(LaneExecutor, WaitHelpsWhileAHelperHoldsTheAwaitedLane)

@@ -485,6 +485,39 @@ TEST(FlightRecorder, InjectedFaultTriggersDump)
         << dump.str("reason");
 }
 
+TEST(FlightRecorder, FaultTriggerDumpIsSerialAtAnyThreadCount)
+{
+    // A fault listener runs inside chip execution, and the dump it
+    // writes shows the fleet-side rings as of the faulting launch:
+    // a fleet with one serves at threads=1 whatever it asks for, so
+    // the lanes never call trigger() concurrently (run under TSan)
+    // and the dump's rings are the serial loop's. With the tracer,
+    // the request and metric rings have content to compare.
+    auto run = [](unsigned threads, bool traced, std::string *report) {
+        serve::FleetConfig config = goldenConfig();
+        config.devices = 4;
+        config.threads = threads;
+        FleetServer fleet(config);
+        obs::FlightRecorder &rec = fleet.enableFlightRecorder({});
+        if (traced)
+            fleet.enableRequestTracing({.sampleRate = 1.0});
+        for (unsigned i = 0; i < fleet.size(); ++i)
+            fleet.device(i).installFaults(
+                {.seed = 3 + i, .eccCorrectablePerGiB = 1e6});
+        *report = renderFleetReport(fleet);
+        EXPECT_EQ(rec.dumpCount(), 1u);
+        return rec.lastDump();
+    };
+    for (bool traced : {false, true}) {
+        std::string serial_report, parallel_report;
+        const std::string serial = run(1, traced, &serial_report);
+        const std::string parallel = run(4, traced, &parallel_report);
+        ASSERT_FALSE(serial.empty());
+        EXPECT_EQ(serial, parallel) << "traced " << traced;
+        EXPECT_EQ(serial_report, parallel_report) << "traced " << traced;
+    }
+}
+
 TEST(FlightRecorder, RingsAreBounded)
 {
     obs::FlightRecorder rec(
