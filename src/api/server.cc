@@ -59,12 +59,6 @@ Server::submit(const serve::RequestSpec &spec)
     return pending_.back().id;
 }
 
-std::uint64_t
-Server::submit(const std::string &model, Tick arrival, Tick deadline)
-{
-    return submit(serve::RequestSpec{model, {}, arrival, deadline, {}});
-}
-
 void
 Server::submit(const std::vector<serve::Request> &trace)
 {
@@ -181,13 +175,6 @@ FleetServer::submit(const serve::RequestSpec &spec)
 {
     pending_.push_back(serve::makeRequest(spec, nextId_++));
     return pending_.back().id;
-}
-
-std::uint64_t
-FleetServer::submit(const std::string &model, Tick arrival,
-                    Tick deadline)
-{
-    return submit(serve::RequestSpec{model, {}, arrival, deadline, {}});
 }
 
 void

@@ -146,13 +146,6 @@ class Server : public ServingFrontend
     std::uint64_t submit(const serve::RequestSpec &spec) override;
 
     /**
-     * @deprecated Positional one-shot submit, kept for source
-     * compatibility; use submit(RequestSpec) instead.
-     */
-    std::uint64_t submit(const std::string &model, Tick arrival,
-                         Tick deadline = 0);
-
-    /**
      * Submit a whole arrival trace (ids are reassigned so the
      * combined submission stream stays uniquely identified).
      */
@@ -249,13 +242,6 @@ class FleetServer : public ServingFrontend
     /** Submit one request described by @p spec (routed at serve()
      *  time); returns its id. */
     std::uint64_t submit(const serve::RequestSpec &spec) override;
-
-    /**
-     * @deprecated Positional one-shot submit, kept for source
-     * compatibility; use submit(RequestSpec) instead.
-     */
-    std::uint64_t submit(const std::string &model, Tick arrival,
-                         Tick deadline = 0);
 
     /** Submit a whole arrival trace (ids are reassigned). */
     void submit(const std::vector<serve::Request> &trace) override;

@@ -84,18 +84,8 @@ DmaEngine::l2Series(Sram &l2, unsigned port, std::uint64_t bytes,
         l2.dmaAccessSeries(starts_.data(), n, bytes, seriesDone_.data());
         return seriesDone_.back();
     }
-    unsigned nports = l2.numPorts();
-    std::uint64_t chunk = bytes / nports;
-    std::uint64_t rem = bytes % nports;
-    Tick done = starts_.back();
-    for (unsigned p = 0; p < nports; ++p) {
-        std::uint64_t b = chunk + (p < rem ? 1 : 0);
-        if (!b)
-            continue;
-        l2.accessSeries(starts_.data(), n, p, p, b, seriesDone_.data());
-        done = std::max(done, seriesDone_.back());
-    }
-    return done;
+    l2.stripeSeries(starts_.data(), n, bytes, seriesDone_.data());
+    return seriesDone_.back();
 }
 
 Tick

@@ -1,5 +1,7 @@
 #include "mem/bandwidth.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace dtu
@@ -10,16 +12,32 @@ BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
                                      double bytes_per_second,
                                      Tick access_latency)
     : SimObject(std::move(name), queue, stats),
-      ledger_(bytes_per_second), accessLatency_(access_latency)
+      own_(std::in_place, bytes_per_second), ledger_(&*own_), lane_(0),
+      accessLatency_(access_latency)
 {
     fatalIf(bytes_per_second <= 0.0, "bandwidth of '", this->name(),
             "' must be positive");
-    if (stats) {
-        bytesMoved_.init(*stats, this->name() + ".bytes",
-                         "bytes transferred");
-        transfers_.init(*stats, this->name() + ".transfers",
+    initStats();
+}
+
+BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
+                                     StatRegistry *stats,
+                                     CapacityLedger &ledger, unsigned lane,
+                                     Tick access_latency)
+    : SimObject(std::move(name), queue, stats), ledger_(&ledger),
+      lane_(lane), accessLatency_(access_latency)
+{
+    initStats();
+}
+
+void
+BandwidthResource::initStats()
+{
+    if (StatRegistry *stats = statRegistry()) {
+        bytesMoved_.init(*stats, name() + ".bytes", "bytes transferred");
+        transfers_.init(*stats, name() + ".transfers",
                         "transfer requests served");
-        waitTicks_.init(*stats, this->name() + ".wait_ticks",
+        waitTicks_.init(*stats, name() + ".wait_ticks",
                         "ticks spent queued behind earlier traffic");
     }
 }
@@ -54,21 +72,64 @@ BandwidthResource::transferSeries(const Tick *starts, std::size_t n,
         return;
     panicIf(starts[0] < curTick(), "transfer in the past on '", name(),
             "'");
-    ledger_.bookSeries(starts, n, bytes, eventQueue().ledgerWatermark(),
-                       done);
+    ledger_->bookSeries(starts, n, bytes, eventQueue().ledgerWatermark(),
+                        done, lane_);
     const Tick service = serviceTime(bytes);
+    for (std::size_t i = 0; i < n; ++i)
+        done[i] = settle(starts[i], bytes, service, done[i]);
+}
+
+Tick
+BandwidthResource::settle(Tick start, std::uint64_t bytes, Tick service,
+                          Tick done)
+{
+    bytesMoved_ += static_cast<double>(bytes);
+    ++transfers_;
+    if (bytes == 0)
+        return saturatingAddTicks(start, accessLatency_);
+    const Tick completion = saturatingAddTicks(done, accessLatency_);
+    const Tick unqueued = saturatingAddTicks(start, service);
+    if (completion > unqueued)
+        waitTicks_ += static_cast<double>(completion - unqueued);
+    return completion;
+}
+
+BandwidthLanes::BandwidthLanes(const std::string &prefix, EventQueue &queue,
+                               StatRegistry *stats, unsigned lanes,
+                               double bytes_per_second, Tick access_latency)
+    : ledger_(bytes_per_second, lanes), service_(lanes), laneDone_(lanes)
+{
+    fatalIf(bytes_per_second <= 0.0, "bandwidth of '", prefix,
+            "*' must be positive");
+    lanes_.reserve(lanes);
+    for (unsigned i = 0; i < lanes; ++i)
+        lanes_.push_back(std::make_unique<BandwidthResource>(
+            prefix + std::to_string(i), queue, stats, ledger_, i,
+            access_latency));
+}
+
+void
+BandwidthLanes::transferSeries(const Tick *starts, std::size_t n,
+                               const std::uint64_t *bytes, Tick *done)
+{
+    if (n == 0)
+        return;
+    const BandwidthResource &head = *lanes_[0];
+    panicIf(starts[0] < head.curTick(), "transfer in the past on '",
+            head.name(), "'");
+    const Tick watermark = head.eventQueue().ledgerWatermark();
+    for (unsigned l = 0; l < size(); ++l)
+        service_[l] = lanes_[l]->serviceTime(bytes[l]);
     for (std::size_t i = 0; i < n; ++i) {
-        bytesMoved_ += static_cast<double>(bytes);
-        ++transfers_;
-        if (bytes == 0) {
-            done[i] = saturatingAddTicks(starts[i], accessLatency_);
-            continue;
+        ledger_.bookLanes(starts[i], bytes, watermark, laneDone_.data());
+        done[i] = starts[i];
+        for (unsigned l = 0; l < size(); ++l) {
+            if (bytes[l])
+                done[i] = std::max(done[i],
+                                   lanes_[l]->settle(starts[i], bytes[l],
+                                                     service_[l],
+                                                     laneDone_[l]));
         }
-        const Tick completion = saturatingAddTicks(done[i], accessLatency_);
-        const Tick unqueued = saturatingAddTicks(starts[i], service);
-        if (completion > unqueued)
-            waitTicks_ += static_cast<double>(completion - unqueued);
-        done[i] = completion;
     }
 }
 

@@ -12,18 +12,11 @@ Hbm::Hbm(std::string name, EventQueue &queue, StatRegistry *stats,
          std::uint64_t capacity, double total_bytes_per_second,
          unsigned channels, Tick access_latency)
     : SimObject(std::move(name), queue, stats), capacity_(capacity),
-      totalBandwidth_(total_bytes_per_second)
-{
-    fatalIf(channels == 0, "HBM '", this->name(),
-            "' needs at least one channel");
-    double per_channel = total_bytes_per_second / channels;
-    channels_.reserve(channels);
-    for (unsigned i = 0; i < channels; ++i) {
-        channels_.push_back(std::make_unique<BandwidthResource>(
-            this->name() + ".ch" + std::to_string(i), queue, stats,
-            per_channel, access_latency));
-    }
-}
+      totalBandwidth_(total_bytes_per_second),
+      channels_(this->name() + ".ch", queue, stats, channels,
+                total_bytes_per_second / channels, access_latency),
+      channelBytes_(channels)
+{}
 
 Tick
 Hbm::accessAt(Tick at, Addr addr, std::uint64_t bytes)
@@ -33,22 +26,21 @@ Hbm::accessAt(Tick at, Addr addr, std::uint64_t bytes)
     // Stripe the request across channels in stripeBytes_ units,
     // starting at the channel owning the base address. For requests
     // much larger than one stripe this aggregates the full device
-    // bandwidth; small requests stay on one channel.
+    // bandwidth; small requests stay on one channel. A channel moves
+    // whole stripes, so the channels together can book up to one
+    // stripe more than the request.
     unsigned nch = numChannels();
     unsigned first = static_cast<unsigned>((addr / stripeBytes_) % nch);
     std::uint64_t stripes = (bytes + stripeBytes_ - 1) / stripeBytes_;
     std::uint64_t per_channel_stripes = stripes / nch;
     std::uint64_t extra = stripes % nch;
-    Tick done = at;
-    for (unsigned i = 0; i < std::min<std::uint64_t>(nch, stripes); ++i) {
-        unsigned ch = (first + i) % nch;
+    for (unsigned i = 0; i < nch; ++i) {
         std::uint64_t ch_stripes = per_channel_stripes + (i < extra ? 1 : 0);
-        if (ch_stripes == 0)
-            continue;
-        std::uint64_t ch_bytes =
+        channelBytes_[(first + i) % nch] =
             std::min(ch_stripes * stripeBytes_, bytes);
-        done = std::max(done, channels_[ch]->transferAt(at, ch_bytes));
     }
+    Tick done = at;
+    channels_.transferSeries(&at, 1, channelBytes_.data(), &done);
     if (faults_)
         done = saturatingAddTicks(done,
                                   faults_->eccAccess(done, name(), bytes));
@@ -65,16 +57,9 @@ double
 Hbm::totalBytes() const
 {
     double total = 0.0;
-    for (const auto &ch : channels_)
-        total += ch->totalBytes();
+    for (unsigned i = 0; i < channels_.size(); ++i)
+        total += channels_[i].totalBytes();
     return total;
-}
-
-void
-Hbm::forEachPipe(const std::function<void(BandwidthResource &)> &f)
-{
-    for (auto &ch : channels_)
-        f(*ch);
 }
 
 } // namespace dtu

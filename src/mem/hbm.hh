@@ -4,18 +4,16 @@
  *
  * DTU 1.0 carries two 8 GB HBM2 stacks at 512 GB/s aggregate; DTU 2.0
  * replaces them with HBM2E for 819 GB/s (Tables I/IV, Section IV).
- * The model is a set of pseudo-channels, each a BandwidthResource;
- * requests are interleaved across channels by address, so a single
- * requester can saturate at most the per-channel rate times the
- * number of channels it touches, while many concurrent requesters
- * share the aggregate fairly.
+ * The model is a set of pseudo-channels, the lanes of one
+ * BandwidthLanes; requests are interleaved across channels by
+ * address, so a single requester can saturate at most the per-channel
+ * rate times the number of channels it touches, while many concurrent
+ * requesters share the aggregate fairly.
  */
 
 #ifndef DTU_MEM_HBM_HH
 #define DTU_MEM_HBM_HH
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "mem/bandwidth.hh"
@@ -43,10 +41,7 @@ class Hbm : public SimObject
 
     std::uint64_t capacity() const { return capacity_; }
     double totalBandwidth() const { return totalBandwidth_; }
-    unsigned numChannels() const
-    {
-        return static_cast<unsigned>(channels_.size());
-    }
+    unsigned numChannels() const { return channels_.size(); }
 
     /**
      * Stream @p bytes to/from HBM starting at address @p addr, no
@@ -61,8 +56,8 @@ class Hbm : public SimObject
     /** Aggregate bytes moved. */
     double totalBytes() const;
 
-    /** Visit every channel. */
-    void forEachPipe(const std::function<void(BandwidthResource &)> &f);
+    /** The channels' shared ledger. */
+    CapacityLedger &ledger() { return channels_.ledger(); }
 
     /**
      * Attach (or detach, with nullptr) the chip fault injector: every
@@ -75,7 +70,9 @@ class Hbm : public SimObject
     std::uint64_t capacity_;
     double totalBandwidth_;
     std::uint64_t stripeBytes_ = 256;
-    std::vector<std::unique_ptr<BandwidthResource>> channels_;
+    BandwidthLanes channels_;
+    /** Per-channel bytes of one access (scratch). */
+    std::vector<std::uint64_t> channelBytes_;
     FaultInjector *faults_ = nullptr;
 };
 

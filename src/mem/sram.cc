@@ -10,15 +10,11 @@ Sram::Sram(std::string name, EventQueue &queue, StatRegistry *stats,
            double port_bytes_per_second, Tick access_latency,
            Tick remote_penalty, double dma_port_bytes_per_second)
     : SimObject(std::move(name), queue, stats), level_(level),
-      capacity_(capacity), remotePenalty_(remote_penalty)
+      capacity_(capacity), remotePenalty_(remote_penalty),
+      ports_(this->name() + ".port", queue, stats, ports,
+             port_bytes_per_second, access_latency),
+      stripeBytes_(ports)
 {
-    fatalIf(ports == 0, "SRAM '", this->name(), "' needs at least one port");
-    ports_.reserve(ports);
-    for (unsigned i = 0; i < ports; ++i) {
-        ports_.push_back(std::make_unique<BandwidthResource>(
-            this->name() + ".port" + std::to_string(i), queue, stats,
-            port_bytes_per_second, access_latency));
-    }
     if (dma_port_bytes_per_second > 0.0) {
         dmaPort_ = std::make_unique<BandwidthResource>(
             this->name() + ".dma_port", queue, stats,
@@ -55,11 +51,26 @@ Sram::accessSeries(const Tick *starts, std::size_t n, unsigned port,
             name(), "'");
     bool remote = port != affine_port;
     (remote ? remoteAccesses_ : localAccesses_) += static_cast<double>(n);
-    ports_[port]->transferSeries(starts, n, bytes, done);
+    ports_[port].transferSeries(starts, n, bytes, done);
     if (remote) {
         for (std::size_t i = 0; i < n; ++i)
             done[i] = saturatingAddTicks(done[i], remotePenalty_);
     }
+}
+
+void
+Sram::stripeSeries(const Tick *starts, std::size_t n, std::uint64_t bytes,
+                   Tick *done)
+{
+    // Each port moving bytes counts one local access per transaction.
+    const unsigned nports = numPorts();
+    unsigned busy = 0;
+    for (unsigned p = 0; p < nports; ++p) {
+        stripeBytes_[p] = bytes / nports + (p < bytes % nports ? 1 : 0);
+        busy += stripeBytes_[p] ? 1 : 0;
+    }
+    localAccesses_ += static_cast<double>(n * busy);
+    ports_.transferSeries(starts, n, stripeBytes_.data(), done);
 }
 
 Tick
@@ -83,7 +94,7 @@ Sram::leastLoadedPort() const
 {
     unsigned best = 0;
     for (unsigned i = 1; i < ports_.size(); ++i) {
-        if (ports_[i]->freeAt() < ports_[best]->freeAt())
+        if (ports_[i].freeAt() < ports_[best].freeAt())
             best = i;
     }
     return best;
@@ -93,18 +104,17 @@ double
 Sram::totalBytes() const
 {
     double total = 0.0;
-    for (const auto &port : ports_)
-        total += port->totalBytes();
+    for (unsigned i = 0; i < ports_.size(); ++i)
+        total += ports_[i].totalBytes();
     return total;
 }
 
 void
-Sram::forEachPipe(const std::function<void(BandwidthResource &)> &f)
+Sram::forEachLedger(const std::function<void(CapacityLedger &)> &f)
 {
-    for (auto &port : ports_)
-        f(*port);
+    f(ports_.ledger());
     if (dmaPort_)
-        f(*dmaPort_);
+        f(dmaPort_->ledger());
 }
 
 } // namespace dtu

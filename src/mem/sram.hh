@@ -45,7 +45,7 @@ class Sram : public SimObject
 
     MemLevel level() const { return level_; }
     std::uint64_t capacity() const { return capacity_; }
-    unsigned numPorts() const { return static_cast<unsigned>(ports_.size()); }
+    unsigned numPorts() const { return ports_.size(); }
 
     /**
      * Access @p bytes through @p port on behalf of a requester whose
@@ -67,6 +67,16 @@ class Sram : public SimObject
                       unsigned affine_port, std::uint64_t bytes,
                       Tick *done);
 
+    /**
+     * @p n accesses of @p bytes each at the non-decreasing @p starts,
+     * each striped over every port (port p moves bytes / numPorts(),
+     * plus one of the remainder's bytes when p < the remainder) and
+     * booked on all ports at once, in order. Writes to @p done[i] the
+     * later of starts[i] and access i's last port completion.
+     */
+    void stripeSeries(const Tick *starts, std::size_t n, std::uint64_t bytes,
+                      Tick *done);
+
     /** The port with the earliest free time (for DMA traffic). */
     unsigned leastLoadedPort() const;
 
@@ -84,20 +94,22 @@ class Sram : public SimObject
                          std::uint64_t bytes, Tick *done);
 
     /** Port-level resource, for utilization queries. */
-    const BandwidthResource &port(unsigned i) const { return *ports_.at(i); }
+    const BandwidthResource &port(unsigned i) const { return ports_[i]; }
 
     /** Aggregate bytes moved across all ports. */
     double totalBytes() const;
 
-    /** Visit every port, the DMA fill port included. */
-    void forEachPipe(const std::function<void(BandwidthResource &)> &f);
+    /** Visit every ledger: the ports' shared one, then the fill port's. */
+    void forEachLedger(const std::function<void(CapacityLedger &)> &f);
 
   private:
     MemLevel level_;
     std::uint64_t capacity_;
     Tick remotePenalty_;
-    std::vector<std::unique_ptr<BandwidthResource>> ports_;
+    BandwidthLanes ports_;
     std::unique_ptr<BandwidthResource> dmaPort_;
+    /** Per-port bytes of one striped access (scratch). */
+    std::vector<std::uint64_t> stripeBytes_;
     Stat remoteAccesses_;
     Stat localAccesses_;
 };

@@ -104,16 +104,16 @@ Dtu::core(unsigned cid)
 }
 
 void
-Dtu::forEachPipe(const std::function<void(BandwidthResource &)> &f)
+Dtu::forEachLedger(const std::function<void(CapacityLedger &)> &f)
 {
-    hbm_->forEachPipe(f);
-    f(*pcie_);
+    f(hbm_->ledger());
+    f(pcie_->ledger());
     for (unsigned gid = 0; gid < totalGroups(); ++gid) {
         ProcessingGroup &g = group(gid);
-        g.l2().forEachPipe(f);
-        f(g.dma().pipe());
+        g.l2().forEachLedger(f);
+        f(g.dma().pipe().ledger());
         for (unsigned c = 0; c < config_.coresPerGroup; ++c)
-            g.l1(c).forEachPipe(f);
+            g.l1(c).forEachLedger(f);
     }
 }
 
@@ -121,14 +121,14 @@ std::size_t
 Dtu::ledgerPages()
 {
     std::size_t pages = 0;
-    forEachPipe([&pages](BandwidthResource &p) { pages += p.ledgerPages(); });
+    forEachLedger([&pages](CapacityLedger &l) { pages += l.livePages(); });
     return pages;
 }
 
 void
 Dtu::restartLedgers()
 {
-    forEachPipe([](BandwidthResource &p) { p.restartLedger(); });
+    forEachLedger([](CapacityLedger &l) { l.restart(); });
     queue_.resetLedgerWatermark();
 }
 

@@ -86,14 +86,14 @@ class Dtu
     ComputeCore &core(unsigned cid);
 
     /**
-     * Ledger pages held across the chip's pipes. Pages retire behind
+     * Ledger pages held across the chip's ledgers. Pages retire behind
      * the serving scheduler's watermark, so a long serve keeps this
      * flat.
      */
     std::size_t ledgerPages();
 
     /**
-     * Drop every pipe's bookings and the ledger watermark: the chip's
+     * Drop every ledger's bookings and the watermark: the chip's
      * contention timeline starts again, idle, from tick 0.
      */
     void restartLedgers();
@@ -162,10 +162,11 @@ class Dtu
 
   private:
     /**
-     * Visit every bandwidth pipe on the chip: HBM channels, PCIe, and
-     * each group's L2 ports, DMA datapath and L1 ports.
+     * Visit every capacity ledger on the chip once: the HBM channels',
+     * PCIe's, and each group's L2 ports', L2 fill port's, DMA
+     * datapath's and L1 ports'.
      */
-    void forEachPipe(const std::function<void(BandwidthResource &)> &f);
+    void forEachLedger(const std::function<void(CapacityLedger &)> &f);
 
     DtuConfig config_;
     EventQueue queue_;

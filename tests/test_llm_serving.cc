@@ -413,20 +413,6 @@ TEST(Frontend, PrometheusExportsGenerationGauges)
               std::string::npos);
 }
 
-TEST(Frontend, DeprecatedPositionalSubmitStillWorks)
-{
-    Device device;
-    Server server(device, {});
-    Tick deadline = secondsToTicks(50e-3);
-    std::uint64_t id = server.submit("resnet50", 0, deadline);
-    EXPECT_EQ(id, 1u);
-    const ServingReport &report = server.serve();
-    ASSERT_EQ(report.outcomes.size(), 1u);
-    EXPECT_EQ(report.outcomes.front().state,
-              TerminalState::Completed);
-    EXPECT_FALSE(report.hasGeneration);
-}
-
 //
 // Bit-for-bit back compatibility of the one-shot path.
 //

@@ -1,18 +1,25 @@
 /**
  * @file
  * Tests for the memory hierarchy: bandwidth resources, multi-port
- * SRAM with affinity, HBM channel striping, and the affinity-aware
- * scratchpad allocator.
+ * SRAM with affinity, HBM channel striping, the lane ledgers they
+ * share, and the affinity-aware scratchpad allocator.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/logging.hh"
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "mem/allocator.hh"
 #include "mem/bandwidth.hh"
 #include "mem/hbm.hh"
 #include "mem/sram.hh"
+#include "sim/random.hh"
+#include "soc/config.hh"
+#include "soc/dtu.hh"
 
 namespace
 {
@@ -165,6 +172,164 @@ TEST(Hbm, AccessLatencyAppliesPerRequest)
     Hbm fast("fast", h.queue, &h.stats, 16_GiB, 800e9, 8, 0);
     Hbm slow("slow", h.queue, &h.stats, 16_GiB, 800e9, 8, 120'000);
     EXPECT_EQ(slow.access(0, 256) - fast.access(0, 256), 120'000u);
+}
+
+/** @p n stand-alone pipes named @p prefix + index, one ledger each. */
+std::vector<std::unique_ptr<BandwidthResource>>
+independentPipes(const std::string &prefix, MemHarness &h, unsigned n,
+                 double bytes_per_second, Tick latency)
+{
+    std::vector<std::unique_ptr<BandwidthResource>> pipes;
+    for (unsigned i = 0; i < n; ++i)
+        pipes.push_back(std::make_unique<BandwidthResource>(
+            prefix + std::to_string(i), h.queue, &h.stats,
+            bytes_per_second, latency));
+    return pipes;
+}
+
+TEST(Sram, SharedPortLedgerMatchesIndependentPorts)
+{
+    // The core ports share one lane ledger; striped and pinned traffic
+    // must leave every port's completions and stats as four separate
+    // pipes would, with the stripe booked port by port as before.
+    MemHarness h;
+    MemHarness ref;
+    constexpr Tick kLatency = 1'500;
+    constexpr Tick kPenalty = 5'000;
+    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 8_MiB, 4, 83.2e9,
+            kLatency, kPenalty);
+    auto ports = independentPipes("l2.port", ref, 4, 83.2e9, kLatency);
+    double local = 0.0;
+    double remote = 0.0;
+    Random rng(17);
+    Tick window = 0;
+    std::vector<Tick> starts;
+    std::vector<Tick> done;
+    std::vector<Tick> expect;
+    std::vector<Tick> port_done;
+    for (unsigned i = 0; i < 3'000; ++i) {
+        window += rng.below(400'000);
+        starts.assign(1, window + rng.below(200'000));
+        const std::uint64_t n = 1 + rng.below(20);
+        for (std::uint64_t t = 1; t < n; ++t)
+            starts.push_back(starts.back() + rng.below(60'000));
+        const std::uint64_t bytes =
+            rng.uniform() < 0.1 ? rng.below(4) : 1 + rng.below(40'000);
+        done.assign(n, 0);
+        expect.assign(starts.begin(), starts.end());
+        port_done.assign(n, 0);
+        if (rng.uniform() < 0.7) {
+            l2.stripeSeries(starts.data(), n, bytes, done.data());
+            for (unsigned p = 0; p < 4; ++p) {
+                const std::uint64_t b = bytes / 4 + (p < bytes % 4);
+                if (!b)
+                    continue;
+                local += static_cast<double>(n);
+                ports[p]->transferSeries(starts.data(), n, b,
+                                         port_done.data());
+                for (std::uint64_t t = 0; t < n; ++t)
+                    expect[t] = std::max(expect[t], port_done[t]);
+            }
+        } else {
+            const auto port = static_cast<unsigned>(rng.below(4));
+            const auto affine = static_cast<unsigned>(rng.below(4));
+            l2.accessSeries(starts.data(), n, port, affine, bytes,
+                            done.data());
+            (port == affine ? local : remote) += static_cast<double>(n);
+            ports[port]->transferSeries(starts.data(), n, bytes,
+                                        expect.data());
+            if (port != affine)
+                for (Tick &t : expect)
+                    t += kPenalty;
+        }
+        ASSERT_EQ(done, expect) << "request " << i;
+        unsigned least = 0;
+        for (unsigned p = 1; p < 4; ++p)
+            if (ports[p]->freeAt() < ports[least]->freeAt())
+                least = p;
+        ASSERT_EQ(l2.leastLoadedPort(), least);
+    }
+    for (unsigned p = 0; p < 4; ++p) {
+        const std::string name = "l2.port" + std::to_string(p);
+        for (const char *stat : {".bytes", ".transfers", ".wait_ticks"})
+            EXPECT_EQ(h.stats.lookup(name + stat),
+                      ref.stats.lookup(name + stat))
+                << name << stat;
+        EXPECT_EQ(l2.port(p).freeAt(), ports[p]->freeAt());
+    }
+    EXPECT_GT(ref.stats.lookup("l2.port3.wait_ticks"), 0.0);
+    EXPECT_EQ(h.stats.lookup("l2.local_accesses"), local);
+    EXPECT_EQ(h.stats.lookup("l2.remote_accesses"), remote);
+}
+
+TEST(Hbm, SharedChannelLedgerMatchesIndependentChannels)
+{
+    // The channels share one lane ledger; each access books all of
+    // them at once and must match the per-channel bookings it replaced.
+    MemHarness h;
+    MemHarness ref;
+    constexpr Tick kLatency = 120'000;
+    Hbm hbm("hbm", h.queue, &h.stats, 16_GiB, 819e9, 8, kLatency);
+    auto channels = independentPipes("hbm.ch", ref, 8, 819e9 / 8, kLatency);
+    Random rng(29);
+    Tick window = 0;
+    for (unsigned i = 0; i < 20'000; ++i) {
+        window += rng.below(100'000);
+        const Tick at = window + rng.below(400'000);
+        const Addr addr = rng.below(1 << 20) * 64;
+        const double size = rng.uniform();
+        const std::uint64_t bytes = size < 0.5   ? 1 + rng.below(2'048)
+                                    : size < 0.9 ? 1 + rng.below(64'000)
+                                                 : 1 + rng.below(2 << 20);
+        const std::uint64_t stripes = (bytes + 255) / 256;
+        Tick expect = at;
+        for (unsigned c = 0; c < std::min<std::uint64_t>(8, stripes); ++c) {
+            const std::uint64_t ch_stripes = stripes / 8 + (c < stripes % 8);
+            expect = std::max(
+                expect, channels[(addr / 256 + c) % 8]->transferAt(
+                            at, std::min(ch_stripes * 256, bytes)));
+        }
+        ASSERT_EQ(hbm.accessAt(at, addr, bytes), expect) << "access " << i;
+    }
+    double total = 0.0;
+    for (unsigned c = 0; c < 8; ++c) {
+        const std::string name = "hbm.ch" + std::to_string(c);
+        for (const char *stat : {".bytes", ".transfers", ".wait_ticks"})
+            EXPECT_EQ(h.stats.lookup(name + stat),
+                      ref.stats.lookup(name + stat))
+                << name << stat;
+        total += channels[c]->totalBytes();
+    }
+    EXPECT_GT(ref.stats.lookup("hbm.ch0.wait_ticks"), 0.0);
+    EXPECT_EQ(hbm.totalBytes(), total);
+}
+
+TEST(Dtu, SharedLedgersCountAndRestartOnce)
+{
+    // An HBM access over all eight channels and an L2 stripe over four
+    // ports each touch one page of one shared ledger.
+    Dtu chip(dtu2Config());
+    ASSERT_EQ(chip.ledgerPages(), 0u);
+    chip.hbm().accessAt(0, 0, 1_MiB);
+    EXPECT_EQ(chip.ledgerPages(), 1u);
+    Sram &l2 = chip.group(0).l2();
+    const Tick start = 0;
+    Tick done = 0;
+    l2.stripeSeries(&start, 1, 64_KiB, &done);
+    EXPECT_EQ(chip.ledgerPages(), 2u);
+
+    // Restarted, the chip books as a fresh one does.
+    chip.restartLedgers();
+    EXPECT_EQ(chip.ledgerPages(), 0u);
+    Dtu fresh(dtu2Config());
+    EXPECT_EQ(chip.hbm().accessAt(0, 4_KiB, 1_MiB),
+              fresh.hbm().accessAt(0, 4_KiB, 1_MiB));
+    Tick fresh_done = 0;
+    fresh.group(0).l2().stripeSeries(&start, 1, 64_KiB, &fresh_done);
+    l2.stripeSeries(&start, 1, 64_KiB, &done);
+    EXPECT_EQ(done, fresh_done);
+    EXPECT_EQ(l2.leastLoadedPort(), fresh.group(0).l2().leastLoadedPort());
+    EXPECT_EQ(chip.ledgerPages(), 2u);
 }
 
 TEST(Allocator, PrefersRequestedBank)

@@ -5,7 +5,8 @@
  * monotonicity, bandwidth-ledger conservation under out-of-order
  * arrival, executor scaling laws, the calendar event queue
  * against a sorted-vector reference model, and the capacity ledger
- * against the per-bucket walk it replaced and with its pages retired.
+ * against the per-bucket walk it replaced, with its pages retired, and
+ * with its lanes against independent ledgers.
  */
 
 #include <gtest/gtest.h>
@@ -39,25 +40,50 @@ namespace dtu
 /** Reads a CapacityLedger's buckets back, as its reference model sees them. */
 struct CapacityLedgerProbe
 {
-    /** Bytes booked in @p bucket; +inf for a saturated bucket. */
-    static double
-    booked(const CapacityLedger &ledger, std::uint64_t bucket)
+    /**
+     * Bytes booked on @p lane in each bucket of page @p page_no; +inf
+     * once saturated there.
+     */
+    static std::vector<double>
+    pageBytes(const CapacityLedger &ledger, std::uint64_t page_no,
+              unsigned lane = 0)
     {
-        const auto it =
-            ledger.pages_.find(bucket / CapacityLedger::kPageBuckets);
+        std::vector<double> bytes(CapacityLedger::kPageBuckets, 0.0);
+        const auto it = ledger.pages_.find(page_no);
         if (it == ledger.pages_.end())
-            return 0.0;
+            return bytes;
         const CapacityLedger::Page &page = it->second;
-        const std::uint64_t slot = bucket % CapacityLedger::kPageBuckets;
-        const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-        if (page.saturated[slot / 64] & bit)
-            return std::numeric_limits<double>::infinity();
-        if (!(page.occupied[slot / 64] & bit))
-            return 0.0;
-        for (const auto &[partial_slot, used] : page.partials)
-            if (partial_slot == slot)
-                return used;
-        return std::numeric_limits<double>::quiet_NaN(); // lost partial
+        for (std::uint64_t slot = 0; slot < bytes.size(); ++slot) {
+            const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+            if (page.saturated[slot / 64] & bit)
+                bytes[slot] = std::numeric_limits<double>::infinity();
+            else if (page.occupied[slot / 64] & bit)
+                bytes[slot] = std::numeric_limits<double>::quiet_NaN();
+        }
+        for (std::size_t i = 0; i < page.partialSlots.size(); ++i) {
+            // NaN, which matches nothing, marks a lost or stray entry.
+            const std::uint16_t slot = page.partialSlots[i];
+            const double used = page.partialUsed[i * ledger.lanes() + lane];
+            bytes[slot] = !std::isnan(bytes[slot])
+                              ? std::numeric_limits<double>::quiet_NaN()
+                          : ledger.cap_ - used > 1e-12
+                              ? used
+                              : std::numeric_limits<double>::infinity();
+            if (!page.index.empty() && page.index[slot] != i + 1)
+                bytes[slot] = std::numeric_limits<double>::quiet_NaN();
+        }
+        return bytes;
+    }
+
+    /** The numbers of the pages @p ledger holds, ascending. */
+    static std::vector<std::uint64_t>
+    pages(const CapacityLedger &ledger)
+    {
+        std::vector<std::uint64_t> numbers;
+        for (const auto &[page_no, page] : ledger.pages_)
+            numbers.push_back(page_no);
+        std::sort(numbers.begin(), numbers.end());
+        return numbers;
     }
 };
 
@@ -815,6 +841,8 @@ TEST(CapacityLedgerProperty, RandomOutOfOrderTransfersMatchPerBucketWalk)
             // one does: the same exact bytes in every partial bucket.
             std::uint64_t mismatched = 0;
             for (const auto &[page_no, page] : ref.pages_) {
+                const std::vector<double> booked =
+                    CapacityLedgerProbe::pageBytes(ledger, page_no);
                 for (std::uint64_t slot = 0; slot < RefLedger::kPageBuckets;
                      ++slot) {
                     const double used = (*page)[slot];
@@ -822,9 +850,7 @@ TEST(CapacityLedgerProperty, RandomOutOfOrderTransfersMatchPerBucketWalk)
                         cap - used > 1e-12
                             ? used
                             : std::numeric_limits<double>::infinity();
-                    const std::uint64_t bucket =
-                        page_no * RefLedger::kPageBuckets + slot;
-                    if (CapacityLedgerProbe::booked(ledger, bucket) != expect)
+                    if (booked[slot] != expect)
                         ++mismatched;
                 }
             }
@@ -959,6 +985,8 @@ TEST(CapacityLedgerProperty, SeriesMatchesOneBookingAtATime)
                 for (const auto &[page_no, page] : ref.pages_) {
                     if (page_no < watermark / kPage)
                         continue;
+                    const std::vector<double> booked =
+                        CapacityLedgerProbe::pageBytes(ledger, page_no);
                     for (std::uint64_t slot = 0;
                          slot < RefLedger::kPageBuckets; ++slot) {
                         const double used = (*page)[slot];
@@ -966,10 +994,7 @@ TEST(CapacityLedgerProperty, SeriesMatchesOneBookingAtATime)
                             cap - used > 1e-12
                                 ? used
                                 : std::numeric_limits<double>::infinity();
-                        const std::uint64_t bucket =
-                            page_no * RefLedger::kPageBuckets + slot;
-                        if (CapacityLedgerProbe::booked(ledger, bucket) !=
-                            expect)
+                        if (booked[slot] != expect)
                             ++mismatched;
                     }
                 }
@@ -981,6 +1006,147 @@ TEST(CapacityLedgerProperty, SeriesMatchesOneBookingAtATime)
                 starts = {end + 7, end + 7, end + kBucket, end + 3 * kBucket};
                 series(bucketsOf(2.5));
                 EXPECT_EQ(done.back(), maxTick);
+            }
+        }
+    }
+}
+
+//
+// Lanes. The core ports of an L2 slice and the channels of an HBM
+// stack share one lane ledger, and a striped transfer books all of
+// them in one walk; every lane must book exactly as its own one-lane
+// ledger would, down to the exact bytes of every bucket.
+//
+
+TEST(CapacityLedgerProperty, LanesMatchIndependentLedgers)
+{
+    constexpr Tick kBucket = CapacityLedger::kBucketTicks;
+    constexpr Tick kPage = CapacityLedger::kPageTicks;
+    constexpr std::uint64_t kStripe = 256;
+    for (unsigned lanes : {1u, 2u, 4u, 8u}) {
+        for (double gbps : {83.2, 819.0 / 8, 100.0 / 3}) {
+            for (std::uint64_t seed : {4u, 21u}) {
+                SCOPED_TRACE(testing::Message()
+                             << lanes << " lanes, " << gbps
+                             << " GB/s, seed " << seed);
+                const double bps = gbps * 1e9;
+                CapacityLedger shared(bps, lanes);
+                std::vector<CapacityLedger> solo;
+                for (unsigned l = 0; l < lanes; ++l)
+                    solo.emplace_back(bps);
+                const double cap = bps * ticksToSeconds(kBucket);
+                auto bucketsOf = [&](double n) {
+                    return static_cast<std::uint64_t>(n * cap);
+                };
+                Random rng(seed);
+                Tick window = 2 * kPage;
+                Tick watermark = 0;
+                std::vector<std::uint64_t> bytes(lanes);
+                std::vector<Tick> done(lanes);
+                std::uint64_t striped = 0;
+                std::uint64_t pinned = 0;
+                for (unsigned i = 0; i < 20'000; ++i) {
+                    // A monotone watermark that retires pages now and
+                    // then; starts out of order, at page edges, far
+                    // ahead, and below the watermark.
+                    if (rng.uniform() < 0.02)
+                        watermark = std::max(
+                            watermark, window - rng.below(300 * kBucket));
+                    window += rng.below(24 * kBucket);
+                    Tick at = window + rng.below(64 * kBucket);
+                    const double where = rng.uniform();
+                    if (where < 0.1)
+                        at -= at % kBucket;
+                    else if (where < 0.15)
+                        at += kPage - at % kPage - rng.below(4 * kBucket);
+                    else if (where < 0.25)
+                        at = window - rng.below(200 * kBucket);
+                    else if (where < 0.3)
+                        at = window + rng.below(kPage);
+                    else if (where < 0.33 && watermark)
+                        at = watermark - rng.below(
+                                             std::min(watermark, kPage));
+
+                    const double size = rng.uniform();
+                    const std::uint64_t base =
+                        size < 0.6    ? 1 + rng.below(bucketsOf(1))
+                        : size < 0.95 ? 1 + rng.below(bucketsOf(24))
+                                      : 1 + rng.below(bucketsOf(400));
+                    if (rng.uniform() < 0.2) {
+                        // One lane alone: a pinned port.
+                        const auto lane =
+                            static_cast<unsigned>(rng.below(lanes));
+                        ++pinned;
+                        ASSERT_EQ(shared.book(at, base, watermark, lane),
+                                  solo[lane].book(at, base, watermark))
+                            << "lane " << lane << " at " << at
+                            << " bytes " << base;
+                    } else {
+                        // A stripe: every lane the same bytes, one byte
+                        // apart (a port stripe), or one 256-byte stripe
+                        // apart (HBM channels); some lanes idle.
+                        const double shape = rng.uniform();
+                        const auto rem =
+                            static_cast<unsigned>(rng.below(lanes));
+                        for (unsigned l = 0; l < lanes; ++l) {
+                            bytes[l] = shape < 0.3   ? base
+                                       : shape < 0.7 ? base + (l < rem)
+                                       : (base / kStripe + (l < rem)) *
+                                             kStripe;
+                            if (rng.uniform() < 0.15)
+                                bytes[l] = 0;
+                        }
+                        ++striped;
+                        shared.bookLanes(at, bytes.data(), watermark,
+                                         done.data());
+                        for (unsigned l = 0; l < lanes; ++l)
+                            ASSERT_EQ(done[l],
+                                      solo[l].book(at, bytes[l], watermark))
+                                << "lane " << l << " at " << at
+                                << " bytes " << bytes[l];
+                    }
+                    for (unsigned l = 0; l < lanes; ++l)
+                        ASSERT_EQ(shared.freeAt(l), solo[l].freeAt());
+                }
+                EXPECT_GT(striped, 15'000u);
+                EXPECT_GT(pinned, 3'000u);
+
+                // Every ledger retires below the last watermark; then the
+                // shared ledger holds exactly the pages its lanes hold,
+                // and, bucket for bucket and lane for lane, their bytes.
+                shared.book(0, 0, watermark);
+                std::vector<std::uint64_t> union_pages;
+                for (unsigned l = 0; l < lanes; ++l) {
+                    solo[l].book(0, 0, watermark);
+                    for (std::uint64_t page_no :
+                         CapacityLedgerProbe::pages(solo[l]))
+                        union_pages.push_back(page_no);
+                }
+                std::sort(union_pages.begin(), union_pages.end());
+                union_pages.erase(
+                    std::unique(union_pages.begin(), union_pages.end()),
+                    union_pages.end());
+                ASSERT_EQ(CapacityLedgerProbe::pages(shared), union_pages);
+                std::uint64_t mismatched = 0;
+                std::uint64_t partial = 0;
+                for (std::uint64_t page_no : union_pages) {
+                    for (unsigned l = 0; l < lanes; ++l) {
+                        const std::vector<double> expect =
+                            CapacityLedgerProbe::pageBytes(solo[l], page_no);
+                        const std::vector<double> got =
+                            CapacityLedgerProbe::pageBytes(shared, page_no,
+                                                           l);
+                        for (std::size_t slot = 0; slot < got.size();
+                             ++slot) {
+                            // NaN (a lost partial) matches nothing.
+                            mismatched += !(got[slot] == expect[slot]);
+                            partial += expect[slot] > 0.0 &&
+                                       expect[slot] < cap;
+                        }
+                    }
+                }
+                EXPECT_EQ(mismatched, 0u);
+                EXPECT_GT(partial, 0u);
             }
         }
     }

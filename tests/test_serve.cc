@@ -333,8 +333,9 @@ TEST(ServerTest, ServesSubmittedTraffic)
     config.batching.maxBatch = 4;
     config.batching.maxQueueDelay = secondsToTicks(1e-3);
     Server server(device, config);
-    server.submit("conformer", /*arrival=*/0,
-                  /*deadline=*/secondsToTicks(50e-3));
+    server.submit(serve::RequestSpec{.model = "conformer",
+                                     .arrival = 0,
+                                     .deadline = secondsToTicks(50e-3)});
     server.submit(poissonTrace("conformer", 3000.0, 7, /*seed=*/5));
     EXPECT_EQ(server.pending(), 8u);
     const ServingReport &report = server.serve();
