@@ -28,7 +28,7 @@
 
 #include "bench_common.hh"
 #include "serve/arrival.hh"
-#include "serve/scheduler.hh"
+#include "serve/fleet.hh"
 #include "sim/fault.hh"
 
 using namespace dtu;
@@ -109,8 +109,10 @@ runCell(const std::vector<serve::Request> &trace,
     Dtu chip(dtu2Config());
     chip.installFaults(faults);
     ResourceManager rm(chip);
-    serve::Scheduler scheduler(chip, rm, policyConfig(shed));
-    return scheduler.serve(trace);
+    serve::FleetConfig config;
+    config.serving = policyConfig(shed);
+    serve::Fleet fleet({{&chip, &rm}}, config);
+    return std::move(fleet.serve(trace).perDevice[0].report);
 }
 
 } // namespace

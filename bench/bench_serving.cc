@@ -28,7 +28,7 @@
 
 #include "bench_common.hh"
 #include "serve/arrival.hh"
-#include "serve/scheduler.hh"
+#include "serve/fleet.hh"
 
 using namespace dtu;
 using namespace dtu::bench;
@@ -68,8 +68,11 @@ runCell(const std::vector<serve::Request> &trace, unsigned max_batch,
     ResourceManager rm(chip);
     serve::ServingConfig config = policyConfig(max_batch);
     config.exec.timeline = !timeline_path.empty();
-    serve::Scheduler scheduler(chip, rm, config);
-    serve::ServingReport report = scheduler.serve(trace);
+    serve::FleetConfig fleet_config;
+    fleet_config.serving = config;
+    serve::Fleet fleet({{&chip, &rm}}, fleet_config);
+    serve::ServingReport report =
+        std::move(fleet.serve(trace).perDevice[0].report);
     if (!timeline_path.empty())
         chip.tracer().writeChromeTrace(timeline_path);
     return report;

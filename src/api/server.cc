@@ -47,125 +47,39 @@ writeGenerationGauges(std::ostream &os, const std::string &prefix,
 
 } // namespace
 
-Server::Server(Device &device, serve::ServingConfig config)
-    : device_(device), config_(config),
-      scheduler_(device.chip(), device.resources(), config)
-{}
-
-std::uint64_t
-Server::submit(const serve::RequestSpec &spec)
-{
-    pending_.push_back(serve::makeRequest(spec, nextId_++));
-    return pending_.back().id;
-}
-
-void
-Server::submit(const std::vector<serve::Request> &trace)
-{
-    pending_.reserve(pending_.size() + trace.size());
-    for (serve::Request r : trace) {
-        r.id = nextId_++;
-        pending_.push_back(std::move(r));
-    }
-}
-
-const serve::ServingReport &
-Server::serve()
-{
-    last_ = scheduler_.serve(std::move(pending_));
-    pending_.clear();
-    served_ = true;
-    return last_;
-}
-
-obs::SloMonitor &
-Server::enableSloMonitor(obs::SloConfig config)
-{
-    fatalIf(sloMon_ != nullptr, "server already has an SLO monitor");
-    sloMon_ = std::make_unique<obs::SloMonitor>(config);
-    scheduler_.setSloMonitor(sloMon_.get());
-    return *sloMon_;
-}
-
-obs::RequestTracer &
-Server::enableRequestTracing(obs::RequestTraceConfig config)
-{
-    fatalIf(reqTracer_ != nullptr,
-            "server already has a request tracer");
-    reqTracer_ = std::make_unique<obs::RequestTracer>(config);
-    scheduler_.setRequestTracer(reqTracer_.get(), 0);
-    return *reqTracer_;
-}
-
-obs::EnergyMonitor &
-Server::enableEnergyMonitor(obs::EnergyMonitorConfig config)
-{
-    fatalIf(energyMon_ != nullptr,
-            "server already has an energy monitor");
-    energyMon_ = std::make_unique<obs::EnergyMonitor>(config);
-    energyMon_->attach(0, device_.chip());
-    scheduler_.setEnergyMonitor(energyMon_.get(), 0);
-    return *energyMon_;
-}
-
-void
-Server::writeEnergyReport(const std::string &path)
-{
-    fatalIf(energyMon_ == nullptr,
-            "writeEnergyReport() needs enableEnergyMonitor()");
-    std::ofstream file(path);
-    fatalIf(!file, "cannot open energy report '", path, "'");
-    energyMon_->writeJson(file);
-    fatalIf(!file.good(), "error writing energy report '", path, "'");
-}
-
-void
-Server::writeRequestTrace(const std::string &path)
-{
-    fatalIf(reqTracer_ == nullptr,
-            "writeRequestTrace() needs enableRequestTracing()");
-    reqTracer_->writeTrace({&device_.chip().tracer()}, path);
-}
-
-void
-Server::writePrometheus(std::ostream &os)
-{
-    obs::writePrometheusText(device_.chip().stats(), os, "dtusim");
-    if (!served_)
-        return;
-    const serve::ServingReport &r = last_;
-    servingGauge(os, "dtusim_serve_submitted",
-                 "requests the last serve submitted",
-                 static_cast<double>(r.submitted));
-    servingGauge(os, "dtusim_serve_requests",
-                 "requests the last serve completed",
-                 static_cast<double>(r.requests));
-    servingGauge(os, "dtusim_serve_achieved_qps",
-                 "sustained throughput", r.achievedQps);
-    servingGauge(os, "dtusim_serve_goodput_qps",
-                 "in-deadline throughput", r.goodputQps);
-    servingGauge(os, "dtusim_serve_latency_p50_ms", "median latency",
-                 r.p50Ms);
-    servingGauge(os, "dtusim_serve_latency_p99_ms", "tail latency",
-                 r.p99Ms);
-    servingGauge(os, "dtusim_serve_availability",
-                 "completed / submitted", r.availability);
-    writeGenerationGauges(os, "dtusim_serve", r);
-    if (energyMon_)
-        energyMon_->writePrometheus(os);
-}
-
 FleetServer::FleetServer(serve::FleetConfig config,
                          const DtuConfig &chip)
     : config_(std::move(config))
 {
     fatalIf(config_.devices == 0, "a fleet needs at least one device");
-    std::vector<serve::Fleet::Member> members;
     for (unsigned i = 0; i < config_.devices; ++i) {
-        devices_.push_back(std::make_unique<Device>(chip));
-        members.push_back({&devices_.back()->chip(),
-                           &devices_.back()->resources()});
+        owned_.push_back(std::make_unique<Device>(chip));
+        devices_.push_back(owned_.back().get());
     }
+    openFleet();
+}
+
+FleetServer::FleetServer(Device &device, serve::ServingConfig config)
+    : devices_{&device}
+{
+    config_.serving = std::move(config);
+    openFleet();
+}
+
+FleetServer::~FleetServer()
+{
+    // A borrowed device outlives the server: its injector must not
+    // call into the freed recorder, nor keep later fleets serial.
+    for (FaultInjector *inj : hookedFaults_)
+        inj->onFault(nullptr);
+}
+
+void
+FleetServer::openFleet()
+{
+    std::vector<serve::Fleet::Member> members;
+    for (Device *d : devices_)
+        members.push_back({&d->chip(), &d->resources()});
     fleet_ = std::make_unique<serve::Fleet>(std::move(members),
                                             config_);
 }
@@ -194,6 +108,7 @@ FleetServer::serveFleet()
     // rather than at enableFlightRecorder() time, so installFaults()
     // may come in either order.
     if (flightRec_) {
+        hookedFaults_.clear();
         for (unsigned i = 0; i < size(); ++i) {
             FaultInjector *inj = devices_[i]->faults();
             if (!inj)
@@ -205,6 +120,7 @@ FleetServer::serveFleet()
                                  " dev" + std::to_string(i),
                              f.at);
             });
+            hookedFaults_.push_back(inj);
         }
     }
     last_ = fleet_->serve(std::move(pending_));
@@ -293,25 +209,30 @@ FleetServer::wireFlightAlerts()
     });
 }
 
+std::vector<const Tracer *>
+FleetServer::chipTracers(const char *caller) const
+{
+    fatalIf(reqTracer_ == nullptr, caller,
+            "() needs enableRequestTracing()");
+    std::vector<const Tracer *> chips;
+    for (Device *d : devices_)
+        chips.push_back(&d->chip().tracer());
+    return chips;
+}
+
 void
 FleetServer::exportFleetTrace(std::ostream &os)
 {
-    fatalIf(reqTracer_ == nullptr,
-            "exportFleetTrace() needs enableRequestTracing()");
-    std::vector<const Tracer *> chips;
-    for (unsigned i = 0; i < size(); ++i)
-        chips.push_back(&devices_[i]->chip().tracer());
+    const std::vector<const Tracer *> chips =
+        chipTracers("exportFleetTrace");
     reqTracer_->exportTrace(chips, os);
 }
 
 void
 FleetServer::writeFleetTrace(const std::string &path)
 {
-    fatalIf(reqTracer_ == nullptr,
-            "writeFleetTrace() needs enableRequestTracing()");
-    std::vector<const Tracer *> chips;
-    for (unsigned i = 0; i < size(); ++i)
-        chips.push_back(&devices_[i]->chip().tracer());
+    const std::vector<const Tracer *> chips =
+        chipTracers("writeFleetTrace");
     reqTracer_->writeTrace(chips, path);
 }
 
@@ -456,6 +377,34 @@ FleetServer::writePrometheus(std::ostream &os)
     // Power & energy telemetry (dtusim_power_*, dtusim_energy_*).
     if (energyMon_)
         energyMon_->writePrometheus(os);
+}
+
+void
+Server::writePrometheus(std::ostream &os)
+{
+    obs::writePrometheusText(device(0).chip().stats(), os, "dtusim");
+    if (!served())
+        return;
+    const serve::ServingReport &r = lastReport().fleet;
+    servingGauge(os, "dtusim_serve_submitted",
+                 "requests the last serve submitted",
+                 static_cast<double>(r.submitted));
+    servingGauge(os, "dtusim_serve_requests",
+                 "requests the last serve completed",
+                 static_cast<double>(r.requests));
+    servingGauge(os, "dtusim_serve_achieved_qps",
+                 "sustained throughput", r.achievedQps);
+    servingGauge(os, "dtusim_serve_goodput_qps",
+                 "in-deadline throughput", r.goodputQps);
+    servingGauge(os, "dtusim_serve_latency_p50_ms", "median latency",
+                 r.p50Ms);
+    servingGauge(os, "dtusim_serve_latency_p99_ms", "tail latency",
+                 r.p99Ms);
+    servingGauge(os, "dtusim_serve_availability",
+                 "completed / submitted", r.availability);
+    writeGenerationGauges(os, "dtusim_serve", r);
+    if (obs::EnergyMonitor *energy = energyMonitor())
+        energy->writePrometheus(os);
 }
 
 } // namespace dtu

@@ -165,9 +165,8 @@ Fleet::Fleet(std::vector<Member> members, FleetConfig config)
     for (std::size_t g = 0; g < groups; ++g) {
         const Member &m = members[g * groupSize_];
         devices_.push_back(std::make_unique<Scheduler>(
-            *m.dtu, *m.manager, config_.serving));
-        if (config_.sharePlans)
-            devices_.back()->sharePlanCache(&sharedPlans_);
+            *m.dtu, *m.manager, config_.serving, plans_,
+            static_cast<unsigned>(g)));
         view_.push_back(devices_.back().get());
     }
     rebuildFabric();
@@ -198,16 +197,16 @@ void
 Fleet::setRequestTracer(obs::RequestTracer *tracer)
 {
     reqTracer_ = tracer;
-    for (unsigned i = 0; i < devices_.size(); ++i)
-        devices_[i]->setRequestTracer(tracer, i);
+    for (auto &dev : devices_)
+        dev->setRequestTracer(tracer);
 }
 
 void
 Fleet::setEnergyMonitor(obs::EnergyMonitor *monitor)
 {
     energyMon_ = monitor;
-    for (unsigned i = 0; i < devices_.size(); ++i)
-        devices_[i]->setEnergyMonitor(monitor, i);
+    for (auto &dev : devices_)
+        dev->setEnergyMonitor(monitor);
 }
 
 void
@@ -370,9 +369,8 @@ Fleet::serve(std::vector<Request> trace)
         if (metric_period && now >= next_sample) {
             obs::FleetMetricSample sample;
             sample.at = now;
-            for (unsigned i = 0; i < n; ++i)
-                sample.devices.push_back(
-                    devices_[i]->metricSample(i));
+            for (const auto &dev : devices_)
+                sample.devices.push_back(dev->metricSample());
             sampler.take(std::move(sample));
             next_sample = (now / metric_period + 1) * metric_period;
         }

@@ -9,8 +9,9 @@
  * runs its own steppable Scheduler core (per-device queues, dynamic
  * batching, degradation), while the fleet driver owns the global
  * timeline and min-reduces the devices' next-event times — so
- * cross-device ordering is deterministic and a size-1 fleet
- * reproduces the single-device Scheduler::serve() path bit-for-bit.
+ * cross-device ordering is deterministic. This is the only serving
+ * event loop: a single device is served as a size-1 fleet (the
+ * api::Server facade).
  *
  * One serial event loop serves every FleetConfig::threads value. The
  * fleet thread makes every scheduling decision in serial order:
@@ -111,19 +112,11 @@ struct FleetConfig
     ServingConfig serving;
     /**
      * PCIe bandwidth for first-placement weight loads, in GB/s.
-     * 0 disables the cost model: placements are tracked (affinity
-     * routing still works) but weights are resident immediately —
-     * the default, which keeps a size-1 fleet bit-for-bit identical
-     * to the single-device path.
+     * 0 (the default) disables the cost model: placements are
+     * tracked (affinity routing still works) but weights are
+     * resident immediately.
      */
     double weightLoadGbps = 0.0;
-    /**
-     * Share one compiled-plan cache across the fleet's identically
-     * configured devices (plans are pure functions of the chip
-     * config). Host-side memoization only; simulated timing is
-     * unchanged.
-     */
-    bool sharePlans = true;
     /**
      * Threads executing the devices' launches, the fleet thread
      * included, clamped to the fleet size. 1 (the default) runs every
@@ -248,7 +241,14 @@ class Fleet
 
     Fleet(std::vector<Member> members, FleetConfig config);
 
-    /** Drain a finalized arrival trace across the fleet. */
+    /**
+     * Drain a finalized arrival trace (see serve/arrival.hh) across
+     * the fleet. When a chip's Tracer is enabled (or
+     * config.serving.exec.timeline is set), every request contributes
+     * an arrival-to-completion span and every batch an execution
+     * span, nested over the executor's operator spans in the same
+     * timeline.
+     */
     FleetReport serve(std::vector<Request> trace);
 
     /** Scheduler cores in the fleet (placement groups). */
@@ -313,11 +313,12 @@ class Fleet
     FleetConfig config_;
     /** Physical devices per scheduler core (1 = data parallel). */
     unsigned groupSize_ = 1;
+    /** One compiled-plan cache for the identically configured devices. */
+    PlanCache plans_;
     std::vector<std::unique_ptr<Scheduler>> devices_;
     std::vector<Scheduler *> view_;
     std::unique_ptr<fabric::Fabric> fabric_;
     std::unique_ptr<Router> router_;
-    PlanCache sharedPlans_;
     obs::SloMonitor *sloMon_ = nullptr;
     obs::RequestTracer *reqTracer_ = nullptr;
     obs::EnergyMonitor *energyMon_ = nullptr;

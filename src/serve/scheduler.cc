@@ -9,8 +9,6 @@
 #include "obs/energy_monitor.hh"
 #include "obs/request_tracer.hh"
 #include "obs/slo_monitor.hh"
-#include "serve/arrival.hh"
-#include "serve/metric_sampler.hh"
 #include "sim/logging.hh"
 #include "sim/tracer.hh"
 #include "tensor/dtype.hh"
@@ -28,8 +26,24 @@ constexpr Tick kNever = std::numeric_limits<Tick>::max();
 } // namespace
 
 Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
-                     ServingConfig config)
-    : dtu_(dtu), manager_(manager), config_(std::move(config))
+                     ServingConfig config, PlanCache &plans,
+                     unsigned device)
+    : dtu_(dtu), manager_(manager), config_(std::move(config)),
+      plans_(plans), deviceId_(device),
+      shedStat_(dtu.stats().counter(
+          "serve.shed_requests",
+          "queued requests shed after deadline expiry")),
+      timedOutStat_(dtu.stats().counter(
+          "serve.timed_out_requests",
+          "queued requests dropped by timeout")),
+      rejectedStat_(dtu.stats().counter(
+          "serve.rejected_requests",
+          "arrivals bounced by admission control")),
+      failedStat_(dtu.stats().counter(
+          "serve.failed_requests",
+          "requests whose batch stayed poisoned")),
+      retryStat_(dtu.stats().counter("serve.batch_retries",
+                                     "poisoned-batch re-executions"))
 {
     fatalIf(config_.batching.maxBatch == 0,
             "dynamic batch size must be at least 1");
@@ -45,23 +59,6 @@ Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
             "decode batch size must be at least 1");
     fatalIf(config_.generation.ctxBucket == 0,
             "generation context bucket must be at least 1");
-
-    // The first scheduler on a chip owns the chip-level degradation
-    // counters; further schedulers (the registry rejects duplicate
-    // names) count locally and report through their ServingReport.
-    StatRegistry &stats = dtu_.stats();
-    if (!stats.has("serve.shed_requests")) {
-        shedStat_.init(stats, "serve.shed_requests",
-                       "queued requests shed after deadline expiry");
-        timedOutStat_.init(stats, "serve.timed_out_requests",
-                           "queued requests dropped by timeout");
-        rejectedStat_.init(stats, "serve.rejected_requests",
-                           "arrivals bounced by admission control");
-        failedStat_.init(stats, "serve.failed_requests",
-                         "requests whose batch stayed poisoned");
-        retryStat_.init(stats, "serve.batch_retries",
-                        "poisoned-batch re-executions");
-    }
 }
 
 template <typename BuildGraph>
@@ -69,9 +66,8 @@ const CachedPlan &
 Scheduler::cachedPlan(const std::pair<std::string, unsigned> &key,
                       BuildGraph &&build)
 {
-    PlanCache &cache = plans();
-    auto it = cache.find(key);
-    if (it == cache.end()) {
+    auto it = plans_.find(key);
+    if (it == plans_.end()) {
         CachedPlan cp;
         cp.plan = compile(build(), dtu_.config(), config_.dtype,
                           config_.groupsPerBatch, {},
@@ -83,7 +79,7 @@ Scheduler::cachedPlan(const std::pair<std::string, unsigned> &key,
             groups[g] = g;
         cp.floor = Executor(dtu_, std::move(groups), config_.exec)
                        .minLatency(cp.plan);
-        it = cache.emplace(key, std::move(cp)).first;
+        it = plans_.emplace(key, std::move(cp)).first;
     }
     return it->second;
 }
@@ -317,7 +313,7 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
     if (!fabric_ && gbps <= 0.0) {
         // Placement tracked (model-affinity routing keys on it) but
         // the load itself is not modeled: weights are resident
-        // immediately, exactly like the single-device path.
+        // immediately.
         weightReady_[model] = 0;
         return;
     }
@@ -1453,7 +1449,7 @@ Scheduler::nextEvent(Tick now) const
 }
 
 obs::DeviceMetricSample
-Scheduler::metricSample(unsigned device)
+Scheduler::metricSample()
 {
     // Retries are counted as launches are read, and a serial loop's
     // sample counts every launch so far: a chip that can retry reads
@@ -1461,7 +1457,7 @@ Scheduler::metricSample(unsigned device)
     if (faults_ && !pending_.empty())
         readThrough(pending_.back().ticket.seq);
     obs::DeviceMetricSample d;
-    d.device = device;
+    d.device = deviceId_;
     d.queueDepth = queueDepth();
     d.inFlightBatches = inFlightBatches();
     d.outstanding = outstanding();
@@ -1504,95 +1500,6 @@ Scheduler::finish(double offered_qps)
     }
     outcomes_.clear();
     return report;
-}
-
-ServingReport
-Scheduler::serve(std::vector<Request> trace)
-{
-    std::sort(trace.begin(), trace.end(),
-              [](const Request &a, const Request &b) {
-                  if (a.arrival != b.arrival)
-                      return a.arrival < b.arrival;
-                  return a.id < b.id;
-              });
-    const double offered = offeredQps(trace);
-
-    // How many arrivals of each model are still in the future: the
-    // batcher stops holding a partial batch once no companion can
-    // ever join it.
-    std::map<std::string, unsigned> future;
-    for (const Request &r : trace)
-        ++future[r.model];
-
-    Tick now = trace.empty() ? 0 : trace.front().arrival;
-    begin(now, &future);
-    if (energyMon_)
-        energyMon_->beginRun(now);
-    MetricSampler sampler(
-        *lanes_, [lane = lane_](unsigned) { return lane; }, reqTracer_,
-        energyMon_);
-
-    std::size_t next_arrival = 0;
-    auto admitUpTo = [&](Tick upto) {
-        while (next_arrival < trace.size() &&
-               trace[next_arrival].arrival <= upto) {
-            const Request &r = trace[next_arrival++];
-            --future[r.model];
-            admit(r);
-        }
-    };
-
-    admitUpTo(now);
-    settle(now);
-    // Periodic metric snapshots: pure observation points. The loop
-    // wakes early for them only while a real event is still pending,
-    // and the settle/advance steps are idempotent at non-event ticks,
-    // so sampling never changes simulated results (or termination).
-    const Tick metric_period = sampler.period();
-    Tick next_sample =
-        metric_period ? (now / metric_period + 1) * metric_period
-                      : kNever;
-    while (true) {
-        // Next event: an arrival, a batch completion or decode step,
-        // a queue timeout maturing, or a degradation deadline.
-        // Events at or before `now` are already handled (or are
-        // waiting on a lease, which frees at a completion event).
-        Tick next = nextEvent(now);
-        if (next_arrival < trace.size())
-            next = std::min(next, trace[next_arrival].arrival);
-        if (next == kNever) {
-            fatalIf(queueDepth() + decodeReadyCount() != 0,
-                    "serving deadlock: ",
-                    queueDepth() + decodeReadyCount(),
-                    " waiting requests but no future event");
-            break;
-        }
-        if (next_sample < next)
-            next = next_sample;
-        now = next;
-        advanceCompletions(now);
-        admitUpTo(now);
-        settle(now);
-        if (metric_period && now >= next_sample) {
-            obs::FleetMetricSample sample;
-            sample.at = now;
-            sample.devices.push_back(metricSample(deviceId_));
-            sampler.take(std::move(sample));
-            next_sample = (now / metric_period + 1) * metric_period;
-        }
-        // Close SLO windows the loop just stepped past. Events land
-        // in (prev_now, now] and windows close only through now, so
-        // every event is ingested before its window seals.
-        if (sloMon_)
-            sloMon_->advanceTo(now);
-    }
-    sampler.flush();
-    if (sloMon_)
-        sloMon_->finish(std::max(now, lastCompletion_));
-    if (energyMon_)
-        energyMon_->endRun(std::max(now, lastCompletion_));
-
-    return finish(offered);
 }
 
 } // namespace serve

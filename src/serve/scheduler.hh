@@ -20,11 +20,12 @@
  * seeded arrival generators. Same trace + seed => identical
  * makespan, percentiles, and deadline-miss set.
  *
- * The scheduler is *steppable*: serve() is a thin driver over a
+ * The scheduler is *steppable*: a
  * begin()/admit()/advanceCompletions()/settle()/nextEvent()/finish()
- * core, and the fleet coordinator (serve/fleet.hh) drives N of these
- * cores — one per simulated device — on a single global timeline. A
- * size-1 fleet therefore reproduces serve() bit-for-bit.
+ * core with no event loop of its own. The fleet coordinator
+ * (serve/fleet.hh) drives N of these cores — one per simulated
+ * device — on a single global timeline; a single device is a size-1
+ * fleet.
  */
 
 #ifndef DTU_SERVE_SCHEDULER_HH
@@ -205,30 +206,19 @@ using PlanCache = std::map<std::pair<std::string, unsigned>, CachedPlan>;
 class Scheduler
 {
   public:
-    Scheduler(Dtu &dtu, ResourceManager &manager, ServingConfig config);
-
     /**
-     * Drain a finalized arrival trace (see serve/arrival.hh) to
-     * completion and aggregate the outcome. When the chip's Tracer
-     * is enabled (or config.exec.timeline is set), every request
-     * contributes an arrival-to-completion span and every batch an
-     * execution span, nested over the executor's operator spans in
-     * the same timeline.
+     * A core for fleet device @p device (the index the observers see
+     * it under) on @p dtu. @p plans is the fleet's compiled-plan
+     * cache, shared by its identically configured devices: compiled
+     * plans are pure functions of the DtuConfig, so sharing is a
+     * host-side memoization only. Plans compile on the driving thread
+     * only; lane tasks read entries, which are never erased or moved.
      */
-    ServingReport serve(std::vector<Request> trace);
+    Scheduler(Dtu &dtu, ResourceManager &manager, ServingConfig config,
+              PlanCache &plans, unsigned device);
 
     /** Compiled-plan cache size (plans are memoized per model/batch). */
-    std::size_t cachedPlans() const { return plans().size(); }
-
-    /**
-     * Share an external compiled-plan cache (e.g. fleet-wide across
-     * identically configured devices, where compiled plans are pure
-     * functions of the DtuConfig). nullptr reverts to the private
-     * cache. Sharing is a host-side memoization only; simulated
-     * timing is unchanged. Plans compile on the driving thread only;
-     * lane tasks read entries, which are never erased or moved.
-     */
-    void sharePlanCache(PlanCache *cache) { sharedPlans_ = cache; }
+    std::size_t cachedPlans() const { return plans_.size(); }
 
     /**
      * Run this core's chip-side work as lane @p lane of @p lanes (the
@@ -257,32 +247,29 @@ class Scheduler
     void setSloMonitor(obs::SloMonitor *monitor) { sloMon_ = monitor; }
 
     /**
-     * Attach (or detach, with nullptr) a request-lifecycle tracer as
-     * fleet device @p device (0 for a single-device Server). The
+     * Attach (or detach, with nullptr) a request-lifecycle tracer. The
      * scheduler reports admissions, batch executions, completions,
-     * drops, and weight loads, and force-enables the chip timeline
-     * around batches carrying a sampled request so their operator
-     * spans exist for flow linking. Without a tracer the serving
-     * path is bit-for-bit unchanged.
+     * drops, and weight loads under its fleet device index, and
+     * force-enables the chip timeline around batches carrying a
+     * sampled request so their operator spans exist for flow linking.
+     * Without a tracer the serving path is bit-for-bit unchanged.
      */
-    void setRequestTracer(obs::RequestTracer *tracer, unsigned device)
+    void setRequestTracer(obs::RequestTracer *tracer)
     {
         reqTracer_ = tracer;
-        deviceId_ = device;
     }
 
     /**
-     * Attach (or detach, with nullptr) an energy monitor as fleet
-     * device @p device. finish() then attributes the run's energy by
-     * component (finalizeEnergy), metric samples carry power
-     * telemetry, and — when the monitor's corpus is enabled — every
-     * batch records its per-operator energy features. Without a
-     * monitor the serving path is bit-for-bit unchanged.
+     * Attach (or detach, with nullptr) an energy monitor. finish()
+     * then attributes the run's energy by component
+     * (finalizeEnergy), metric samples carry power telemetry, and —
+     * when the monitor's corpus is enabled — every batch records its
+     * per-operator energy features. Without a monitor the serving
+     * path is bit-for-bit unchanged.
      */
-    void setEnergyMonitor(obs::EnergyMonitor *monitor, unsigned device)
+    void setEnergyMonitor(obs::EnergyMonitor *monitor)
     {
         energyMon_ = monitor;
-        deviceId_ = device;
     }
 
     /**
@@ -305,10 +292,10 @@ class Scheduler
     }
 
     //
-    // The steppable discrete-event core. serve() is a driver over
-    // these; the fleet coordinator (serve/fleet.hh) is another,
-    // interleaving N device cores on one global timeline. The
-    // protocol per event time t (strictly non-decreasing):
+    // The steppable discrete-event core. Its one driver is the fleet
+    // coordinator (serve/fleet.hh), interleaving N device cores on
+    // one global timeline. The protocol per event time t (strictly
+    // non-decreasing):
     //
     //   advanceCompletions(t);   // retire batches that ended <= t
     //   admit(r...);             // arrivals with r.arrival == t
@@ -341,7 +328,7 @@ class Scheduler
     /**
      * Admit one arrived request (at r.arrival). Applies admission
      * control: over-limit arrivals are dropped as Rejected at their
-     * arrival time, exactly like the single-device path.
+     * arrival time.
      */
     void admit(const Request &request);
 
@@ -415,12 +402,12 @@ class Scheduler
     std::uint64_t batchRetryCount() const { return batchRetries_; }
 
     /**
-     * Snapshot the live serving state as fleet device @p device: the
-     * loop half of a metric sample (serve/metric_sampler.hh). It
-     * waits for the chip only when the chip can retry, since retries
-     * count when launches are read.
+     * Snapshot the live serving state: the loop half of a metric
+     * sample (serve/metric_sampler.hh). It waits for the chip only
+     * when the chip can retry, since retries count when launches are
+     * read.
      */
-    obs::DeviceMetricSample metricSample(unsigned device);
+    obs::DeviceMetricSample metricSample();
 
     /** Highest queue depth seen this run. */
     std::size_t peakQueueDepth() const { return peakQueue_; }
@@ -433,8 +420,9 @@ class Scheduler
     // time it assigns a model to this device; with @p gbps > 0 the
     // first placement pays a modeled PCIe weight-load (weight bytes
     // at gbps GB/s, serialized per device), and batches of that
-    // model cannot launch before the load finishes. The single-device
-    // serve() path never places, so it is bit-for-bit unaffected.
+    // model cannot launch before the load finishes. Without a fabric
+    // and with gbps == 0 a placement is only tracked: the weights are
+    // resident at once.
     //
 
     /** Mark @p model resident, paying the first-placement load. */
@@ -710,13 +698,6 @@ class Scheduler
     /** Launch rule for queued prefills of @p model at @p now. */
     bool shouldLaunchGen(const std::string &model, Tick now) const;
 
-    /** The active plan cache (shared when sharePlanCache() was set). */
-    PlanCache &plans() { return sharedPlans_ ? *sharedPlans_ : plans_; }
-    const PlanCache &plans() const
-    {
-        return sharedPlans_ ? *sharedPlans_ : plans_;
-    }
-
     /** Not-yet-admitted arrivals of @p model (0 without a map). */
     unsigned futureCount(const std::string &model) const;
 
@@ -726,8 +707,10 @@ class Scheduler
     Dtu &dtu_;
     ResourceManager &manager_;
     ServingConfig config_;
-    PlanCache plans_;
-    PlanCache *sharedPlans_ = nullptr;
+    /** The fleet's compiled-plan cache (not owned). */
+    PlanCache &plans_;
+    /** This scheduler's device index under the fleet observers. */
+    const unsigned deviceId_;
     /** Runs tasks inline at submit when no fleet lanes are attached. */
     LaneExecutor inlineLanes_{1, 1};
     /** Where chip-side work runs (see setLanes). */
@@ -735,17 +718,16 @@ class Scheduler
     unsigned lane_ = 0;
 
     //
-    // Degradation counters. The first scheduler on a chip registers
-    // them as "serve.*" in the chip's StatRegistry; later schedulers
-    // on the same chip count locally (the registry rejects duplicate
-    // names), and the authoritative per-run numbers always live in
-    // the ServingReport.
+    // Degradation counters: the chip registry's "serve.*" stats,
+    // which the registry owns so they outlive the scheduler.
+    // Schedulers on one chip share them; the authoritative per-run
+    // numbers live in the ServingReport.
     //
-    Stat shedStat_;
-    Stat timedOutStat_;
-    Stat rejectedStat_;
-    Stat failedStat_;
-    Stat retryStat_;
+    Stat &shedStat_;
+    Stat &timedOutStat_;
+    Stat &rejectedStat_;
+    Stat &failedStat_;
+    Stat &retryStat_;
 
     /** Optional live SLO monitor (not owned). */
     obs::SloMonitor *sloMon_ = nullptr;
@@ -754,8 +736,6 @@ class Scheduler
     obs::RequestTracer *reqTracer_ = nullptr;
     /** Optional energy monitor (not owned). */
     obs::EnergyMonitor *energyMon_ = nullptr;
-    /** This scheduler's device index under the fleet observers. */
-    unsigned deviceId_ = 0;
     /** Optional fleet interconnect (not owned; see setSharding). */
     fabric::Fabric *fabric_ = nullptr;
     /** The placement group this scheduler drives over the fabric. */

@@ -161,6 +161,19 @@ StatRegistry::add(Histogram *histogram)
     histograms_[histogram->name()] = histogram;
 }
 
+Stat &
+StatRegistry::counter(const std::string &name,
+                      const std::string &description)
+{
+    auto it = owned_.find(name);
+    if (it == owned_.end()) {
+        auto stat = std::make_unique<Stat>();
+        stat->init(*this, name, description);
+        it = owned_.emplace(name, std::move(stat)).first;
+    }
+    return *it->second;
+}
+
 double
 StatRegistry::lookup(const std::string &name) const
 {

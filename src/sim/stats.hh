@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -186,6 +187,15 @@ class StatRegistry
     void add(Histogram *histogram);
 
     /**
+     * The registry-owned scalar stat @p name, registered (at zero)
+     * on first use. It lives as long as the registry, so callers that
+     * may be destroyed first (a serving scheduler on a chip that
+     * outlives it) count into it without leaving a dangling entry;
+     * every caller naming it shares it.
+     */
+    Stat &counter(const std::string &name, const std::string &description);
+
+    /**
      * Look up a scalar stat by exact name.
      * @return the value, or 0.0 when absent (with a warn(), so a
      *         misspelled name cannot silently read zeros — prefer
@@ -240,6 +250,8 @@ class StatRegistry
   private:
     std::map<std::string, Stat *> scalars_;
     std::map<std::string, Histogram *> histograms_;
+    /** The stats counter() made. */
+    std::map<std::string, std::unique_ptr<Stat>> owned_;
 };
 
 } // namespace dtu

@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 
+#include "../serve_test_util.hh"
 #include "api/server.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
@@ -28,6 +29,7 @@ namespace
 
 using namespace dtu;
 using namespace dtu::serve;
+using dtu::test::serveOnChip;
 
 std::vector<Request>
 overloadTrace()
@@ -76,8 +78,7 @@ run(const std::vector<Request> &trace, bool shed)
     Dtu chip(dtu2Config());
     chip.installFaults(overloadFaults());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, servingConfig(shed));
-    return scheduler.serve(trace);
+    return serveOnChip(chip, rm, servingConfig(shed), trace);
 }
 
 TEST(SlowFaultServing, SheddingBeatsNoSheddingUnderOverloadFaults)

@@ -18,6 +18,7 @@
 #include "models/model_zoo.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
+#include "serve_test_util.hh"
 #include "sim/fault.hh"
 
 namespace
@@ -25,6 +26,7 @@ namespace
 
 using namespace dtu;
 using namespace dtu::serve;
+using dtu::test::serveOnChip;
 
 /** The dropped slice of the unified outcome log, terminal-ordered. */
 std::vector<RequestOutcome>
@@ -344,8 +346,7 @@ TEST(FaultHooksTest, ZeroRateInjectorIsBitForBitTransparent)
         ResourceManager rm(chip);
         ServingConfig config;
         config.batching.maxBatch = 4;
-        Scheduler scheduler(chip, rm, config);
-        return scheduler.serve(trace);
+        return serveOnChip(chip, rm, config, trace);
     };
     ServingReport off = run(false);
     ServingReport on = run(true);
@@ -380,11 +381,10 @@ TEST(DegradationTest, AdmissionControlBouncesOverflowArrivals)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(2);
     config.degradation.admissionLimit = 3;
-    Scheduler scheduler(chip, rm, config);
     // A simultaneous burst far over the queue limit.
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 24)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_GT(report.rejectedRequests, 0u);
     EXPECT_EQ(report.submitted, 24u);
     EXPECT_EQ(report.requests + droppedOf(report).size(), 24u);
@@ -402,13 +402,12 @@ TEST(DegradationTest, ShedsRequestsWhoseDeadlineExpired)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(1);
     config.degradation.shedExpired = true;
-    Scheduler scheduler(chip, rm, config);
     // Deadlines far shorter than one execution: everything queued
     // behind the first dispatches expires while waiting.
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 12,
                         /*deadline=*/secondsToTicks(20e-6))});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_GT(report.shedRequests, 0u);
     EXPECT_EQ(report.requests + droppedOf(report).size(), 12u);
     // Shed requests never held a lease.
@@ -426,10 +425,9 @@ TEST(DegradationTest, QueueTimeoutDropsStarvedRequests)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(1);
     config.degradation.requestTimeout = secondsToTicks(30e-6);
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 12)}); // no deadlines
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_GT(report.timedOutRequests, 0u);
     EXPECT_EQ(report.requests + droppedOf(report).size(), 12u);
     for (const RequestOutcome &d : droppedOf(report)) {
@@ -454,11 +452,10 @@ TEST(DegradationTest, QueueTimeoutWakesWithoutDeadlinesOrShedding)
     config.groupsPerBatch = 3; // 2 leases exhaust the 6 groups
     config.degradation.requestTimeout = secondsToTicks(5e-6);
     config.degradation.shedExpired = false;
-    Scheduler scheduler(chip, rm, config);
     // Three simultaneous arrivals, batch-1: two launch immediately
     // on the two cluster leases, the third starves.
     auto trace = finalizeTrace({fixedRateTrace("conformer", 1e9, 3)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_EQ(report.requests, 2u);
     ASSERT_EQ(report.timedOutRequests, 1u);
     std::vector<RequestOutcome> dropped = droppedOf(report);
@@ -481,10 +478,9 @@ TEST(DegradationTest, HugeTimeoutSaturatesInsteadOfWrapping)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(2);
     config.degradation.requestTimeout = maxTick - 1;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace({fixedRateTrace("conformer", 1e6, 4)});
     ASSERT_GT(trace[1].arrival, 0u); // nonzero arrivals do the wrap
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_EQ(report.requests, 4u);
     EXPECT_EQ(report.timedOutRequests, 0u);
     EXPECT_TRUE(droppedOf(report).empty());
@@ -511,8 +507,7 @@ TEST(DegradationTest, HugeDeadlineBudgetSaturatesInsteadOfWrapping)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(2);
     config.degradation.shedExpired = true;
-    Scheduler scheduler(chip, rm, config);
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_EQ(report.requests, 4u);
     EXPECT_EQ(report.deadlineMisses, 0u);
     EXPECT_EQ(report.shedRequests, 0u);
@@ -527,10 +522,9 @@ TEST(DegradationTest, PoisonedBatchesRetryThenFail)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(4);
     config.degradation.maxBatchRetries = 1;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 8)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     // Certain poison: every batch retried once, then failed whole.
     EXPECT_EQ(report.requests, 0u);
     EXPECT_EQ(report.failedRequests, 8u);
@@ -578,9 +572,8 @@ TEST(DegradationTest, FaultReplayProducesIdenticalServingRuns)
         config.batching.maxQueueDelay = secondsToTicks(0.5e-3);
         config.degradation.shedExpired = true;
         config.degradation.maxBatchRetries = 2;
-        Scheduler scheduler(chip, rm, config);
         Outcome out;
-        out.report = scheduler.serve(trace);
+        out.report = serveOnChip(chip, rm, config, trace);
         out.log = chip.faults()->log();
         return out;
     };
@@ -614,10 +607,9 @@ TEST(DegradationTest, ReportJsonCarriesFaultFields)
     ResourceManager rm(chip);
     ServingConfig config = degradedConfig(2);
     config.degradation.admissionLimit = 2;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 10)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     std::ostringstream os;
     writeJson(report, os);
     std::string doc = os.str();

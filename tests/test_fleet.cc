@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for multi-device fleet serving (serve/fleet.hh and the
- * api::FleetServer facade): size-1 equivalence with the
- * single-device path, routing-policy behaviour and determinism,
+ * api::FleetServer facade): size-1 equivalence of borrowed- and
+ * owned-device construction, routing-policy behaviour and determinism,
  * per-device vs fleet-aggregate accounting, modeled PCIe weight
  * loads, and the fleet JSON / Prometheus exports.
  */
@@ -110,33 +110,9 @@ expectSameReport(const ServingReport &a, const ServingReport &b)
 }
 
 //
-// Size-1 equivalence: the fleet driver over the steppable core must
-// reproduce the single-device Scheduler::serve() path bit-for-bit.
+// Size-1 equivalence: a FleetServer over a borrowed Device (the
+// Server facade) serves exactly like one that owns its device.
 //
-
-TEST(FleetTest, SizeOneFleetReproducesSingleDevicePath)
-{
-    auto trace = mixedTrace(/*seed=*/11);
-
-    Dtu solo_chip(dtu2Config());
-    ResourceManager solo_rm(solo_chip);
-    Scheduler solo(solo_chip, solo_rm, fleetServingConfig());
-    ServingReport single = solo.serve(trace);
-
-    Dtu fleet_chip(dtu2Config());
-    ResourceManager fleet_rm(fleet_chip);
-    FleetConfig config;
-    config.devices = 1;
-    config.serving = fleetServingConfig();
-    Fleet fleet({{&fleet_chip, &fleet_rm}}, config);
-    FleetReport report = fleet.serve(trace);
-
-    ASSERT_EQ(report.perDevice.size(), 1u);
-    EXPECT_EQ(report.perDevice[0].routed, trace.size());
-    expectSameReport(single, report.perDevice[0].report);
-    // The fleet aggregate of one device is that device's report.
-    expectSameReport(single, report.fleet);
-}
 
 TEST(FleetTest, SizeOneFleetServerMatchesServer)
 {
@@ -153,6 +129,9 @@ TEST(FleetTest, SizeOneFleetServerMatchesServer)
     FleetReport report = fleet.serveFleet();
 
     expectSameReport(single, report.fleet);
+    // The fleet aggregate of one device is that device's report.
+    ASSERT_EQ(report.perDevice.size(), 1u);
+    expectSameReport(report.perDevice[0].report, report.fleet);
 }
 
 //

@@ -27,12 +27,14 @@
 
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
+#include "serve_test_util.hh"
 
 namespace
 {
 
 using namespace dtu;
 using namespace dtu::serve;
+using dtu::test::serveOnChip;
 
 std::string
 goldenPath()
@@ -49,13 +51,12 @@ renderReport()
     ServingConfig config;
     config.batching.maxBatch = 4;
     config.batching.maxQueueDelay = secondsToTicks(0.5e-3);
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {poissonTrace("conformer", 4000.0, 16, /*seed=*/2718,
                       /*deadline=*/secondsToTicks(5e-3)),
          poissonTrace("resnet50", 300.0, 4, /*seed=*/3141,
                       /*deadline=*/secondsToTicks(20e-3))});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     std::ostringstream os;
     writeJson(report, os);
     return os.str();

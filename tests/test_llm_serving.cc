@@ -16,13 +16,13 @@
  *    TTFT/ITL statistics are populated.
  *  - Continuous batching dominates static batching on token
  *    throughput for ragged-length traffic.
- *  - The RequestSpec/ServingFrontend redesign is a pure re-skin of
- *    the one-shot path: replaying the fleet golden trace spec-by-spec
- *    through submit(RequestSpec) reproduces tests/golden/
- *    fleet_serving.json byte-for-byte.
- *  - A size-1 FleetServer and a single-device Server driven through
- *    the same ServingFrontend handle produce identical generative
- *    serving reports.
+ *  - The RequestSpec redesign is a pure re-skin of the one-shot
+ *    path: replaying the fleet golden trace spec-by-spec through
+ *    submit(RequestSpec) reproduces tests/golden/fleet_serving.json
+ *    byte-for-byte.
+ *  - A size-1 FleetServer that owns its device and a Server over a
+ *    borrowed one, driven through the same FleetServer handle,
+ *    produce identical generative serving reports.
  *
  * The generative golden file regenerates like the serving ones:
  *
@@ -190,7 +190,7 @@ genConfig(bool continuous = true)
 
 /** Drive @p n generative requests through any frontend. */
 const ServingReport &
-driveGenerative(ServingFrontend &frontend, unsigned n = 24,
+driveGenerative(FleetServer &frontend, unsigned n = 24,
                 double qps = 3000.0)
 {
     for (const RequestSpec &spec : genSpecs(n, qps))
@@ -372,7 +372,7 @@ TEST(LlmServing, EosHashIsDeterministicAndBounded)
 
 /** Render one frontend's generative serving report. */
 std::string
-renderFrontend(ServingFrontend &frontend)
+renderFrontend(FleetServer &frontend)
 {
     const ServingReport &report = driveGenerative(frontend);
     std::ostringstream os;
@@ -389,8 +389,8 @@ TEST(Frontend, SizeOneFleetMatchesSingleDeviceServer)
     fleet_config.serving = genConfig();
     FleetServer fleet(fleet_config);
 
-    ServingFrontend &single = server;
-    ServingFrontend &one_fleet = fleet;
+    FleetServer &single = server;
+    FleetServer &one_fleet = fleet;
     EXPECT_EQ(renderFrontend(single), renderFrontend(one_fleet));
 }
 
@@ -398,7 +398,7 @@ TEST(Frontend, PrometheusExportsGenerationGauges)
 {
     Device device;
     Server server(device, genConfig());
-    ServingFrontend &frontend = server;
+    FleetServer &frontend = server;
     driveGenerative(frontend);
     std::ostringstream os;
     frontend.writePrometheus(os);

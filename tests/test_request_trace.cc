@@ -567,7 +567,7 @@ TEST(RequestTrace, SingleDeviceServerTracesAndExports)
 
     testing::internal::CaptureStdout();
     std::string path = testing::TempDir() + "request_trace.json";
-    server.writeRequestTrace(path);
+    server.writeFleetTrace(path);
     testing::internal::GetCapturedStdout();
     std::ifstream in(path);
     ASSERT_TRUE(in);

@@ -14,6 +14,8 @@
 #include "models/model_zoo.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
+#include "serve_test_util.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -21,6 +23,7 @@ namespace
 
 using namespace dtu;
 using namespace dtu::serve;
+using dtu::test::serveOnChip;
 
 //
 // Arrival generators.
@@ -126,10 +129,10 @@ TEST(SchedulerTest, DrainsEveryRequestExactlyOnce)
 {
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, testConfig(4));
     auto trace = finalizeTrace(
         {poissonTrace("conformer", 2000.0, 12, /*seed=*/3)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report =
+        serveOnChip(chip, rm, testConfig(4), trace);
     EXPECT_EQ(report.requests, 12u);
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.makespan, 0u);
@@ -158,10 +161,10 @@ TEST(SchedulerTest, DynamicBatcherFormsBatches)
     // maxBatch instead of running 12 singletons.
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, testConfig(4));
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 12)}); // ~simultaneous
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report =
+        serveOnChip(chip, rm, testConfig(4), trace);
     EXPECT_EQ(report.requests, 12u);
     EXPECT_GT(report.meanBatchSize, 1.0);
     for (const RequestOutcome &r : report.outcomes)
@@ -175,7 +178,6 @@ TEST(SchedulerTest, MaxQueueDelayBoundsWaiting)
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
     Tick delay = secondsToTicks(1e-3);
-    Scheduler scheduler(chip, rm, testConfig(8, delay));
     std::vector<Request> trace(2);
     trace[0].id = 1;
     trace[0].model = "conformer";
@@ -183,7 +185,8 @@ TEST(SchedulerTest, MaxQueueDelayBoundsWaiting)
     trace[1].id = 2;
     trace[1].model = "conformer";
     trace[1].arrival = secondsToTicks(1.0);
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report =
+        serveOnChip(chip, rm, testConfig(8, delay), trace);
     ASSERT_EQ(report.requests, 2u);
     // outcomes[] is terminal-ordered; request 1 dispatched at its
     // timeout, not at request 2's arrival.
@@ -201,11 +204,10 @@ TEST(SchedulerTest, PerModelBatchCapOverridesGlobal)
     ResourceManager rm(chip);
     ServingConfig config = testConfig(8, secondsToTicks(1e-3));
     config.batching.perModelMaxBatch["conformer"] = 2;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 8),
          fixedRateTrace("resnet50", 1e9, 8)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_EQ(report.requests, 16u);
     for (const RequestOutcome &r : report.outcomes) {
         if (r.request.model == "conformer") {
@@ -229,9 +231,8 @@ TEST(SchedulerTest, DeterministicAcrossRuns)
     auto run = [&trace]() {
         Dtu chip(dtu2Config());
         ResourceManager rm(chip);
-        Scheduler scheduler(chip, rm,
-                            testConfig(4, secondsToTicks(1e-3)));
-        return scheduler.serve(trace);
+        return serveOnChip(chip, rm,
+                           testConfig(4, secondsToTicks(1e-3)), trace);
     };
     ServingReport a = run();
     ServingReport b = run();
@@ -263,10 +264,9 @@ TEST(SchedulerTest, DynamicBatchingBeatsFifoUnderLoad)
     auto run = [&trace](unsigned max_batch) {
         Dtu chip(dtu2Config());
         ResourceManager rm(chip);
-        Scheduler scheduler(
-            chip, rm,
-            testConfig(max_batch, secondsToTicks(0.5e-3)));
-        return scheduler.serve(trace);
+        return serveOnChip(
+            chip, rm, testConfig(max_batch, secondsToTicks(0.5e-3)),
+            trace);
     };
     ServingReport fifo = run(1);
     ServingReport dynamic = run(8);
@@ -283,10 +283,9 @@ TEST(SchedulerTest, EmitsRequestSpansIntoTimeline)
     ResourceManager rm(chip);
     ServingConfig config = testConfig(4);
     config.exec.timeline = true;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 5000.0, 4)});
-    scheduler.serve(trace);
+    serveOnChip(chip, rm, config, trace);
     EXPECT_GT(chip.tracer().eventCount(), 0u);
     std::ostringstream os;
     chip.tracer().exportChromeTrace(os);
@@ -302,11 +301,11 @@ TEST(ServingReportTest, JsonCarriesSloFields)
 {
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, testConfig(2));
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 5000.0, 4,
                         /*deadline=*/1)}); // everything misses
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report =
+        serveOnChip(chip, rm, testConfig(2), trace);
     EXPECT_EQ(report.deadlineMisses, 4u);
     EXPECT_DOUBLE_EQ(report.missRate, 1.0);
     EXPECT_DOUBLE_EQ(report.goodputQps, 0.0);
@@ -341,7 +340,7 @@ TEST(ServerTest, ServesSubmittedTraffic)
     const ServingReport &report = server.serve();
     EXPECT_EQ(server.pending(), 0u);
     EXPECT_EQ(report.requests, 8u);
-    EXPECT_EQ(&report, &server.lastReport());
+    EXPECT_EQ(&report, &server.lastReport().fleet);
     // The facade shares the device's lease book-keeper.
     EXPECT_EQ(device.resources().activeGroups(), 0u);
     EXPECT_EQ(device.resources().grants(), report.batches);
@@ -412,6 +411,81 @@ TEST(ServerTest, SecondServeReplaysFromTickZero)
     Server alone(fresh);
     alone.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/2));
     EXPECT_EQ(again.makespan, alone.serve().makespan);
+}
+
+TEST(ServerTest, FaultHookDoesNotOutliveServer)
+{
+    // The flight recorder hooks the borrowed device's fault injector
+    // at serve time. The device outlives the server, so destroying
+    // the server must take the hook with it: a later fault must not
+    // call into the freed recorder, and later fleets on the chip must
+    // not see a listener.
+    Device device;
+    // Saturated correctable ECC: every launch's HBM traffic faults.
+    FaultInjector &faults = device.installFaults(
+        {.seed = 3, .eccCorrectablePerGiB = 1e6});
+    {
+        Server server(device);
+        server.enableFlightRecorder({});
+        server.submit(fixedRateTrace("conformer", 2000.0, 4));
+        EXPECT_EQ(server.serve().requests, 4u);
+        EXPECT_TRUE(faults.hasListener());
+        EXPECT_GE(server.flightRecorder()->triggerCount(), 1u);
+    }
+    EXPECT_FALSE(faults.hasListener());
+
+    const std::size_t before = faults.log().size();
+    Stream stream = *device.createStream(3);
+    stream.run(compile(models::buildResnet50(), device.properties(),
+                       DType::FP16, 3));
+    EXPECT_GT(faults.log().size(), before);
+}
+
+TEST(ServerTest, ChipStatsOutliveServer)
+{
+    // The serve.* degradation counters live in the chip's registry:
+    // reading them after a server is gone must not touch its freed
+    // scheduler, and the next server on the chip counts into them.
+    Device device;
+    ServingConfig config = testConfig(2);
+    config.degradation.admissionLimit = 1;
+    std::uint64_t rejected = 0;
+    for (int run = 0; run < 2; ++run) {
+        Server server(device, config);
+        server.submit(fixedRateTrace("conformer", 1e9, 8));
+        rejected += server.serve().rejectedRequests;
+    }
+    ASSERT_GT(rejected, 0u);
+    EXPECT_DOUBLE_EQ(
+        device.chip().stats().lookup("serve.rejected_requests"),
+        static_cast<double>(rejected));
+}
+
+TEST(ServerTest, PrometheusKeepsSingleDeviceFamilies)
+{
+    Device device;
+    Server server(device, testConfig(4, secondsToTicks(1e-3)));
+    server.submit(poissonTrace("conformer", 3000.0, 8, /*seed=*/5,
+                               secondsToTicks(20e-3)));
+    server.serve();
+    std::ostringstream os;
+    server.writePrometheus(os);
+    const std::string text = os.str();
+
+    // The chip registry sits under "dtusim", not a fleet device prefix.
+    EXPECT_NE(text.find("\ndtusim_serve_shed_requests "),
+              std::string::npos);
+    EXPECT_EQ(text.find("dtusim_dev0_"), std::string::npos);
+    for (const char *gauge :
+         {"dtusim_serve_submitted 8\n", "dtusim_serve_requests 8\n",
+          "# TYPE dtusim_serve_achieved_qps gauge",
+          "# TYPE dtusim_serve_goodput_qps gauge",
+          "# TYPE dtusim_serve_latency_p50_ms gauge",
+          "# TYPE dtusim_serve_latency_p99_ms gauge",
+          "dtusim_serve_availability 1\n"}) {
+        EXPECT_NE(text.find(gauge), std::string::npos) << gauge;
+    }
+    EXPECT_EQ(text.find("dtusim_fleet_"), std::string::npos);
 }
 
 } // namespace
