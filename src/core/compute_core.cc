@@ -25,23 +25,23 @@ ComputeCore::ComputeCore(std::string name, EventQueue &queue,
       sync_(sync), dma_(dma)
 {
     if (stats) {
-        statPackets_.init(*stats, this->name() + ".packets",
+        statPackets_.init(*stats, childName("packets"),
                           "VLIW packets issued");
-        statInstructions_.init(*stats, this->name() + ".instructions",
+        statInstructions_.init(*stats, childName("instructions"),
                                "instructions retired");
-        statCycles_.init(*stats, this->name() + ".cycles",
+        statCycles_.init(*stats, childName("cycles"),
                          "total execution cycles");
-        statIssueCycles_.init(*stats, this->name() + ".issue_cycles",
+        statIssueCycles_.init(*stats, childName("issue_cycles"),
                               "productive VLIW issue cycles");
-        statBankStalls_.init(*stats, this->name() + ".bank_stalls",
+        statBankStalls_.init(*stats, childName("bank_stalls"),
                              "register bank conflict stall cycles");
-        statStructStalls_.init(*stats, this->name() + ".struct_stalls",
+        statStructStalls_.init(*stats, childName("struct_stalls"),
                                "structural (unit busy) stall cycles");
-        statThrottleCycles_.init(*stats, this->name() + ".throttle_cycles",
+        statThrottleCycles_.init(*stats, childName("throttle_cycles"),
                                  "LPME-inserted bubble cycles");
-        statSyncStallTicks_.init(*stats, this->name() + ".sync_stall_ticks",
+        statSyncStallTicks_.init(*stats, childName("sync_stall_ticks"),
                                  "ticks blocked on the sync engine");
-        statMacs_.init(*stats, this->name() + ".macs",
+        statMacs_.init(*stats, childName("macs"),
                        "multiply-accumulates retired");
     }
 }

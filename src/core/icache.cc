@@ -15,12 +15,12 @@ InstructionCache::InstructionCache(std::string name, EventQueue &queue,
       capacity_(capacity), cacheMode_(cache_mode)
 {
     if (stats) {
-        hits_.init(*stats, this->name() + ".hits", "kernel fetch hits");
-        misses_.init(*stats, this->name() + ".misses",
+        hits_.init(*stats, childName("hits"), "kernel fetch hits");
+        misses_.init(*stats, childName("misses"),
                      "kernel fetch misses");
-        stallTicks_.init(*stats, this->name() + ".stall_ticks",
+        stallTicks_.init(*stats, childName("stall_ticks"),
                          "ticks stalled on kernel code loads");
-        prefetches_.init(*stats, this->name() + ".prefetches",
+        prefetches_.init(*stats, childName("prefetches"),
                          "kernel prefetches issued");
     }
 }

@@ -51,17 +51,17 @@ DmaEngine::DmaEngine(std::string name, EventQueue &queue,
     double bytes_per_second =
         static_cast<double>(datapath_bytes_per_cycle) * clock.frequency();
     pipe_ = std::make_unique<BandwidthResource>(
-        this->name() + ".pipe", queue, stats, bytes_per_second);
+        childName("pipe"), queue, stats, bytes_per_second);
     if (stats) {
-        transactions_.init(*stats, this->name() + ".transactions",
+        transactions_.init(*stats, childName("transactions"),
                            "DMA transactions completed");
-        configOps_.init(*stats, this->name() + ".configs",
+        configOps_.init(*stats, childName("configs"),
                         "descriptor configurations performed");
-        configTicks_.init(*stats, this->name() + ".config_ticks",
+        configTicks_.init(*stats, childName("config_ticks"),
                           "ticks spent on configuration");
-        sparseSavedBytes_.init(*stats, this->name() + ".sparse_saved_bytes",
+        sparseSavedBytes_.init(*stats, childName("sparse_saved_bytes"),
                                "bytes saved by sparse compression");
-        broadcastCopies_.init(*stats, this->name() + ".broadcast_copies",
+        broadcastCopies_.init(*stats, childName("broadcast_copies"),
                               "extra L2 copies written by broadcast");
     }
 }

@@ -34,10 +34,10 @@ void
 BandwidthResource::initStats()
 {
     if (StatRegistry *stats = statRegistry()) {
-        bytesMoved_.init(*stats, name() + ".bytes", "bytes transferred");
-        transfers_.init(*stats, name() + ".transfers",
+        bytesMoved_.init(*stats, childName("bytes"), "bytes transferred");
+        transfers_.init(*stats, childName("transfers"),
                         "transfer requests served");
-        waitTicks_.init(*stats, name() + ".wait_ticks",
+        waitTicks_.init(*stats, childName("wait_ticks"),
                         "ticks spent queued behind earlier traffic");
     }
 }
@@ -97,7 +97,7 @@ BandwidthResource::settle(Tick start, std::uint64_t bytes, Tick service,
 BandwidthLanes::BandwidthLanes(const std::string &prefix, EventQueue &queue,
                                StatRegistry *stats, unsigned lanes,
                                double bytes_per_second, Tick access_latency)
-    : ledger_(bytes_per_second, lanes), service_(lanes), laneDone_(lanes)
+    : ledger_(bytes_per_second, lanes)
 {
     fatalIf(bytes_per_second <= 0.0, "bandwidth of '", prefix,
             "*' must be positive");
@@ -118,17 +118,20 @@ BandwidthLanes::transferSeries(const Tick *starts, std::size_t n,
     panicIf(starts[0] < head.curTick(), "transfer in the past on '",
             head.name(), "'");
     const Tick watermark = head.eventQueue().ledgerWatermark();
+    // Per-lane service times and one transfer's lane completions.
+    Tick service[CapacityLedger::kMaxLanes];
+    Tick lane_done[CapacityLedger::kMaxLanes];
     for (unsigned l = 0; l < size(); ++l)
-        service_[l] = lanes_[l]->serviceTime(bytes[l]);
+        service[l] = lanes_[l]->serviceTime(bytes[l]);
     for (std::size_t i = 0; i < n; ++i) {
-        ledger_.bookLanes(starts[i], bytes, watermark, laneDone_.data());
+        ledger_.bookLanes(starts[i], bytes, watermark, lane_done);
         done[i] = starts[i];
         for (unsigned l = 0; l < size(); ++l) {
             if (bytes[l])
                 done[i] = std::max(done[i],
                                    lanes_[l]->settle(starts[i], bytes[l],
-                                                     service_[l],
-                                                     laneDone_[l]));
+                                                     service[l],
+                                                     lane_done[l]));
         }
     }
 }

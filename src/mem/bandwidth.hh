@@ -162,9 +162,6 @@ class BandwidthLanes
   private:
     CapacityLedger ledger_;
     std::vector<std::unique_ptr<BandwidthResource>> lanes_;
-    /** Per-lane scratch: service times and one transfer's completions. */
-    std::vector<Tick> service_;
-    std::vector<Tick> laneDone_;
 };
 
 } // namespace dtu

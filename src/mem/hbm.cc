@@ -13,7 +13,7 @@ Hbm::Hbm(std::string name, EventQueue &queue, StatRegistry *stats,
          unsigned channels, Tick access_latency)
     : SimObject(std::move(name), queue, stats), capacity_(capacity),
       totalBandwidth_(total_bytes_per_second),
-      channels_(this->name() + ".ch", queue, stats, channels,
+      channels_(childName("ch"), queue, stats, channels,
                 total_bytes_per_second / channels, access_latency),
       channelBytes_(channels)
 {}

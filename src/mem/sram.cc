@@ -11,19 +11,18 @@ Sram::Sram(std::string name, EventQueue &queue, StatRegistry *stats,
            Tick remote_penalty, double dma_port_bytes_per_second)
     : SimObject(std::move(name), queue, stats), level_(level),
       capacity_(capacity), remotePenalty_(remote_penalty),
-      ports_(this->name() + ".port", queue, stats, ports,
-             port_bytes_per_second, access_latency),
-      stripeBytes_(ports)
+      ports_(childName("port"), queue, stats, ports,
+             port_bytes_per_second, access_latency)
 {
     if (dma_port_bytes_per_second > 0.0) {
         dmaPort_ = std::make_unique<BandwidthResource>(
-            this->name() + ".dma_port", queue, stats,
+            childName("dma_port"), queue, stats,
             dma_port_bytes_per_second, access_latency);
     }
     if (stats) {
-        remoteAccesses_.init(*stats, this->name() + ".remote_accesses",
+        remoteAccesses_.init(*stats, childName("remote_accesses"),
                              "accesses through a non-affine port");
-        localAccesses_.init(*stats, this->name() + ".local_accesses",
+        localAccesses_.init(*stats, childName("local_accesses"),
                             "accesses through the affine port");
     }
 }
@@ -64,13 +63,14 @@ Sram::stripeSeries(const Tick *starts, std::size_t n, std::uint64_t bytes,
 {
     // Each port moving bytes counts one local access per transaction.
     const unsigned nports = numPorts();
+    std::uint64_t stripe_bytes[CapacityLedger::kMaxLanes];
     unsigned busy = 0;
     for (unsigned p = 0; p < nports; ++p) {
-        stripeBytes_[p] = bytes / nports + (p < bytes % nports ? 1 : 0);
-        busy += stripeBytes_[p] ? 1 : 0;
+        stripe_bytes[p] = bytes / nports + (p < bytes % nports ? 1 : 0);
+        busy += stripe_bytes[p] ? 1 : 0;
     }
     localAccesses_ += static_cast<double>(n * busy);
-    ports_.transferSeries(starts, n, stripeBytes_.data(), done);
+    ports_.transferSeries(starts, n, stripe_bytes, done);
 }
 
 Tick

@@ -108,8 +108,6 @@ class Sram : public SimObject
     Tick remotePenalty_;
     BandwidthLanes ports_;
     std::unique_ptr<BandwidthResource> dmaPort_;
-    /** Per-port bytes of one striped access (scratch). */
-    std::vector<std::uint64_t> stripeBytes_;
     Stat remoteAccesses_;
     Stat localAccesses_;
 };

@@ -55,7 +55,7 @@ namespace
 
 void
 writeHeader(std::ostream &os, const std::string &metric,
-            const std::string &help, const char *type)
+            std::string_view help, const char *type)
 {
     if (!help.empty())
         os << "# HELP " << metric << " " << help << "\n";

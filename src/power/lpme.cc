@@ -46,9 +46,10 @@ Lpme::onWindow(const ActivitySample &sample)
 
     // Track the stall ratio the throttle causes (bubbles / cycles).
     double stall_ratio = decision.throttle / (1.0 + decision.throttle);
-    stallHistory_.push_back(stall_ratio);
-    while (stallHistory_.size() > nWindows_)
-        stallHistory_.pop_front();
+    if (stallHistory_.size() < nWindows_)
+        stallHistory_.push_back(stall_ratio);
+    else
+        stallHistory_[(windows_ - 1) % nWindows_] = stall_ratio;
 
     // Borrow: frequent stalls in M of the last N windows mark this
     // unit as a performance bottleneck worth extra budget.

@@ -17,8 +17,8 @@
 #ifndef DTU_POWER_LPME_HH
 #define DTU_POWER_LPME_HH
 
-#include <deque>
 #include <string>
+#include <vector>
 
 namespace dtu
 {
@@ -95,7 +95,8 @@ class Lpme
     unsigned nWindows_;
     double returnMargin_;
     double throttle_ = 0.0;
-    std::deque<double> stallHistory_;
+    /** Stall ratios of the last nWindows_ windows (a ring). */
+    std::vector<double> stallHistory_;
     double totalRequested_ = 0.0;
     double totalReturned_ = 0.0;
     unsigned windows_ = 0;

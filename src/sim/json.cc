@@ -9,7 +9,7 @@ namespace dtu
 {
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 2);
@@ -156,7 +156,7 @@ JsonWriter::key(const std::string &k)
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     prepareValue();
     os_ << "\"" << jsonEscape(v) << "\"";
@@ -166,7 +166,7 @@ JsonWriter::value(const std::string &v)
 JsonWriter &
 JsonWriter::value(const char *v)
 {
-    return value(std::string(v));
+    return value(std::string_view(v));
 }
 
 JsonWriter &

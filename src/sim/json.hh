@@ -16,13 +16,14 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dtu
 {
 
 /** Escape a string for inclusion inside JSON double quotes. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /** Render a double as a JSON token ("null" when not finite). */
 std::string jsonNumber(double v);
@@ -51,7 +52,7 @@ class JsonWriter
     /** Emit an object key; must be followed by a value or container. */
     JsonWriter &key(const std::string &k);
 
-    JsonWriter &value(const std::string &v);
+    JsonWriter &value(std::string_view v);
     JsonWriter &value(const char *v);
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);

@@ -12,6 +12,7 @@
 #define DTU_SIM_SIM_OBJECT_HH
 
 #include <string>
+#include <string_view>
 
 #include "sim/event_queue.hh"
 
@@ -42,6 +43,19 @@ class SimObject
 
     /** Fully qualified hierarchical name. */
     const std::string &name() const { return name_; }
+
+    /**
+     * "<name>.<leaf>": the name of a stat or part of this object,
+     * built in one allocation (a chip registers hundreds of them).
+     */
+    std::string
+    childName(std::string_view leaf) const
+    {
+        std::string child;
+        child.reserve(name_.size() + 1 + leaf.size());
+        child.append(name_).append(1, '.').append(leaf);
+        return child;
+    }
 
     /** The event queue this object schedules on. */
     EventQueue &eventQueue() const { return queue_; }

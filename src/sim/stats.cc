@@ -34,31 +34,61 @@ StatSnapshot::ratePerSecond(const StatSnapshot &earlier,
     return delta(earlier, name) / ticksToSeconds(at - earlier.at);
 }
 
-void
-Stat::init(StatRegistry &registry, std::string name, std::string description)
+namespace
 {
-    name_ = std::move(name);
-    description_ = std::move(description);
-    registry.add(this);
+
+/** The name of a stat that no registry holds. */
+const std::string &
+unregisteredName()
+{
+    static const std::string empty;
+    return empty;
+}
+
+} // namespace
+
+void
+Stat::init(StatRegistry &registry, std::string name, const char *description)
+{
+    description_ = description;
+    registry.add(this, std::move(name));
+}
+
+const std::string &
+Stat::name() const
+{
+    return name_ ? *name_ : unregisteredName();
 }
 
 void
 Histogram::init(StatRegistry &registry, std::string name,
-                std::string description, double lo, double hi,
+                const char *description, double lo, double hi,
                 std::size_t buckets)
 {
-    name_ = std::move(name);
-    description_ = std::move(description);
-    init(lo, hi, buckets);
-    registry.add(this);
+    configure(name, lo, hi, buckets);
+    description_ = description;
+    registry.add(this, std::move(name));
 }
 
 void
 Histogram::init(double lo, double hi, std::size_t buckets)
 {
-    fatalIf(buckets == 0, "histogram '", name_,
+    configure(name(), lo, hi, buckets);
+}
+
+const std::string &
+Histogram::name() const
+{
+    return name_ ? *name_ : unregisteredName();
+}
+
+void
+Histogram::configure(const std::string &name, double lo, double hi,
+                     std::size_t buckets)
+{
+    fatalIf(buckets == 0, "histogram '", name,
             "' needs at least 1 bucket");
-    fatalIf(hi <= lo, "histogram '", name_, "' needs hi > lo");
+    fatalIf(hi <= lo, "histogram '", name, "' needs hi > lo");
     lo_ = lo;
     hi_ = hi;
     counts_.assign(buckets, 0);
@@ -106,7 +136,7 @@ void
 Histogram::sample(double v)
 {
     if (std::isnan(v)) {
-        warn(csprintf("histogram '", name_, "': NaN sample dropped"));
+        warn(csprintf("histogram '", name(), "': NaN sample dropped"));
         return;
     }
     if (count_ == 0) {
@@ -146,32 +176,37 @@ Histogram::reset()
 }
 
 void
-StatRegistry::add(Stat *stat)
+StatRegistry::add(Stat *stat, std::string name)
 {
-    panicIf(scalars_.count(stat->name()) != 0,
-            "duplicate stat name '", stat->name(), "'");
-    scalars_[stat->name()] = stat;
+    auto [it, inserted] = scalars_.try_emplace(std::move(name));
+    panicIf(!inserted, "duplicate stat name '", it->first, "'");
+    it->second.stat = stat;
+    stat->name_ = &it->first;
 }
 
 void
-StatRegistry::add(Histogram *histogram)
+StatRegistry::add(Histogram *histogram, std::string name)
 {
-    panicIf(histograms_.count(histogram->name()) != 0,
-            "duplicate histogram name '", histogram->name(), "'");
-    histograms_[histogram->name()] = histogram;
+    auto [it, inserted] =
+        histograms_.try_emplace(std::move(name), histogram);
+    panicIf(!inserted, "duplicate histogram name '", it->first, "'");
+    histogram->name_ = &it->first;
 }
 
 Stat &
-StatRegistry::counter(const std::string &name,
-                      const std::string &description)
+StatRegistry::counter(const std::string &name, const char *description)
 {
-    auto it = owned_.find(name);
-    if (it == owned_.end()) {
-        auto stat = std::make_unique<Stat>();
-        stat->init(*this, name, description);
-        it = owned_.emplace(name, std::move(stat)).first;
+    auto [it, inserted] = scalars_.try_emplace(name);
+    Scalar &scalar = it->second;
+    if (inserted) {
+        scalar.owned = std::make_unique<Stat>();
+        scalar.stat = scalar.owned.get();
+        scalar.stat->name_ = &it->first;
+        scalar.stat->description_ = description;
     }
-    return *it->second;
+    // A name a Stat::init() registered is not counter()'s to share.
+    panicIf(!scalar.owned, "duplicate stat name '", name, "'");
+    return *scalar.stat;
 }
 
 double
@@ -183,7 +218,7 @@ StatRegistry::lookup(const std::string &name) const
                       "' returns 0.0 (misspelled name?)"));
         return 0.0;
     }
-    return it->second->value();
+    return it->second.stat->value();
 }
 
 std::optional<double>
@@ -192,7 +227,7 @@ StatRegistry::tryLookup(const std::string &name) const
     auto it = scalars_.find(name);
     if (it == scalars_.end())
         return std::nullopt;
-    return it->second->value();
+    return it->second.stat->value();
 }
 
 bool
@@ -208,7 +243,7 @@ StatRegistry::sumMatching(const std::string &prefix) const
     for (auto it = scalars_.lower_bound(prefix); it != scalars_.end(); ++it) {
         if (it->first.compare(0, prefix.size(), prefix) != 0)
             break;
-        total += it->second->value();
+        total += it->second.stat->value();
     }
     return total;
 }
@@ -218,16 +253,17 @@ StatRegistry::snapshot(Tick at) const
 {
     StatSnapshot snap;
     snap.at = at;
-    for (const auto &[name, stat] : scalars_)
-        snap.values[name] = stat->value();
+    for (const auto &[name, scalar] : scalars_)
+        snap.values.emplace_hint(snap.values.end(), name,
+                                 scalar.stat->value());
     return snap;
 }
 
 void
 StatRegistry::resetAll()
 {
-    for (auto &[name, stat] : scalars_)
-        stat->reset();
+    for (auto &[name, scalar] : scalars_)
+        scalar.stat->reset();
     for (auto &[name, histogram] : histograms_)
         histogram->reset();
 }
@@ -236,7 +272,8 @@ void
 StatRegistry::dump(std::ostream &os) const
 {
     os << std::setprecision(12);
-    for (const auto &[name, stat] : scalars_) {
+    for (const auto &[name, scalar] : scalars_) {
+        const Stat *stat = scalar.stat;
         os << name << " " << stat->value();
         if (!stat->description().empty())
             os << " # " << stat->description();
@@ -256,7 +293,8 @@ StatRegistry::dumpJson(std::ostream &os) const
     JsonWriter json(os);
     json.beginObject();
     json.key("scalars").beginObject();
-    for (const auto &[name, stat] : scalars_) {
+    for (const auto &[name, scalar] : scalars_) {
+        const Stat *stat = scalar.stat;
         json.key(name).beginObject();
         json.field("value", stat->value());
         if (!stat->description().empty())
@@ -292,7 +330,7 @@ StatRegistry::scalarNames() const
 {
     std::vector<std::string> names;
     names.reserve(scalars_.size());
-    for (const auto &[name, stat] : scalars_)
+    for (const auto &[name, scalar] : scalars_)
         names.push_back(name);
     return names;
 }
@@ -318,7 +356,7 @@ const Stat *
 StatRegistry::stat(const std::string &name) const
 {
     auto it = scalars_.find(name);
-    return it == scalars_.end() ? nullptr : it->second;
+    return it == scalars_.end() ? nullptr : it->second.stat;
 }
 
 } // namespace dtu

@@ -18,6 +18,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -62,15 +63,27 @@ struct StatSnapshot
                          const std::string &name) const;
 };
 
-/** A named scalar statistic (a counter or a gauge). */
+/**
+ * A named scalar statistic (a counter or a gauge).
+ *
+ * The registry owns the name and holds the stat by address, so a
+ * Stat cannot be copied or moved: it must stay where it was when
+ * init() registered it.
+ */
 class Stat
 {
   public:
     Stat() = default;
+    Stat(const Stat &) = delete;
+    Stat &operator=(const Stat &) = delete;
 
-    /** Register this stat under @p name with @p registry. */
+    /**
+     * Register this stat under @p name with @p registry. The
+     * @p description is kept by pointer, not copied: it must be a
+     * string literal (or otherwise outlive the registry).
+     */
     void init(StatRegistry &registry, std::string name,
-              std::string description);
+              const char *description);
 
     /** Accumulate. */
     Stat &operator+=(double v) { value_ += v; return *this; }
@@ -83,29 +96,39 @@ class Stat
     /** Reset to zero. */
     void reset() { value_ = 0.0; }
 
-    const std::string &name() const { return name_; }
-    const std::string &description() const { return description_; }
+    /** The registry's copy of the name; empty before init(). */
+    const std::string &name() const;
+    std::string_view description() const { return description_; }
 
   private:
-    std::string name_;
-    std::string description_;
+    friend class StatRegistry;
+
+    const std::string *name_ = nullptr;
+    const char *description_ = "";
     double value_ = 0.0;
 };
 
-/** A histogram statistic with fixed-width buckets. */
+/**
+ * A histogram statistic with fixed-width buckets.
+ *
+ * A registered histogram's name is the registry's copy and its
+ * description a literal, as for Stat; a standalone one (init() without
+ * a registry) has an empty name and may be copied freely.
+ */
 class Histogram
 {
   public:
     Histogram() = default;
 
     /**
-     * Register and configure.
+     * Register and configure. @p description must be a string
+     * literal (see Stat::init()).
      * @param lo lower bound of the first bucket.
      * @param hi upper bound of the last bucket.
      * @param buckets number of equal-width buckets.
      */
     void init(StatRegistry &registry, std::string name,
-              std::string description, double lo, double hi,
+              const char *description, double lo, double hi,
               std::size_t buckets);
 
     /**
@@ -150,14 +173,21 @@ class Histogram
     /** Upper bound of the last bucket. */
     double hi() const { return hi_; }
     const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    const std::string &name() const { return name_; }
-    const std::string &description() const { return description_; }
+    /** The registry's copy of the name; empty when standalone. */
+    const std::string &name() const;
+    std::string_view description() const { return description_; }
 
     void reset();
 
   private:
-    std::string name_;
-    std::string description_;
+    friend class StatRegistry;
+
+    /** Validate and apply the bucket layout; @p name labels errors. */
+    void configure(const std::string &name, double lo, double hi,
+                   std::size_t buckets);
+
+    const std::string *name_ = nullptr;
+    const char *description_ = "";
     double lo_ = 0.0;
     double hi_ = 1.0;
     std::vector<std::uint64_t> counts_;
@@ -181,10 +211,14 @@ class StatRegistry
     StatRegistry(const StatRegistry &) = delete;
     StatRegistry &operator=(const StatRegistry &) = delete;
 
-    /** Add a scalar stat (called by Stat::init). */
-    void add(Stat *stat);
-    /** Add a histogram (called by Histogram::init). */
-    void add(Histogram *histogram);
+    /**
+     * Add a scalar stat under @p name (called by Stat::init): the
+     * registry keeps the name and points the stat at it. Panics on a
+     * duplicate name.
+     */
+    void add(Stat *stat, std::string name);
+    /** Add a histogram under @p name (called by Histogram::init). */
+    void add(Histogram *histogram, std::string name);
 
     /**
      * The registry-owned scalar stat @p name, registered (at zero)
@@ -193,7 +227,7 @@ class StatRegistry
      * outlives it) count into it without leaving a dangling entry;
      * every caller naming it shares it.
      */
-    Stat &counter(const std::string &name, const std::string &description);
+    Stat &counter(const std::string &name, const char *description);
 
     /**
      * Look up a scalar stat by exact name.
@@ -248,10 +282,16 @@ class StatRegistry
     const Stat *stat(const std::string &name) const;
 
   private:
-    std::map<std::string, Stat *> scalars_;
+    /** A registered scalar; counter() stats are owned here too. */
+    struct Scalar
+    {
+        Stat *stat = nullptr;
+        std::unique_ptr<Stat> owned;
+    };
+
+    /** By name; each node's key is the one copy of the stat's name. */
+    std::map<std::string, Scalar> scalars_;
     std::map<std::string, Histogram *> histograms_;
-    /** The stats counter() made. */
-    std::map<std::string, std::unique_ptr<Stat>> owned_;
 };
 
 } // namespace dtu

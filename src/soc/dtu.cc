@@ -12,15 +12,17 @@ Cluster::Cluster(std::string name, EventQueue &queue, StatRegistry *stats,
                  BandwidthResource *pcie)
     : SimObject(std::move(name), queue, stats), coreClock_(core_clock)
 {
+    groups_.reserve(config.groupsPerCluster);
     for (unsigned g = 0; g < config.groupsPerCluster; ++g) {
         unsigned gid = cluster_id * config.groupsPerCluster + g;
         groups_.push_back(std::make_unique<ProcessingGroup>(
-            this->name() + ".pg" + std::to_string(g), queue, stats, config,
-            gid, core_clock, dma_clock, hbm, pcie));
+            childName("pg" + std::to_string(g)), queue, stats, config, gid,
+            core_clock, dma_clock, hbm, pcie));
     }
     // Broadcast fan-out: every group's DMA engine can write all L2
     // slices of this cluster at once.
     std::vector<Sram *> slices;
+    slices.reserve(groups_.size());
     for (auto &group : groups_)
         slices.push_back(&group->l2());
     for (auto &group : groups_)

@@ -14,11 +14,11 @@ SyncEngine::SyncEngine(std::string name, EventQueue &queue,
       signalLatency_(signal_latency)
 {
     if (stats) {
-        signals_.init(*stats, this->name() + ".signals",
+        signals_.init(*stats, childName("signals"),
                       "semaphore signals sent");
-        waits_.init(*stats, this->name() + ".waits",
+        waits_.init(*stats, childName("waits"),
                     "semaphore waits served");
-        waitTicks_.init(*stats, this->name() + ".wait_ticks",
+        waitTicks_.init(*stats, childName("wait_ticks"),
                         "total ticks consumers spent blocked");
     }
 }

@@ -8,12 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <sstream>
 
+#include "compiler/lowering.hh"
+#include "models/model_zoo.hh"
+#include "obs/prometheus.hh"
+#include "runtime/executor.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
+#include "soc/dtu.hh"
 
 namespace
 {
@@ -280,6 +288,166 @@ TEST(Stats, HistogramPercentiles)
     // p == 1.0 is exactly the observed maximum (no bucket-upper-edge
     // overshoot), including when samples clamped into edge buckets.
     EXPECT_DOUBLE_EQ(h.percentile(1.0), h.max());
+}
+
+TEST(Stats, NameAndDescriptionAreWhatInitReceived)
+{
+    StatRegistry reg;
+    Stat s;
+    EXPECT_EQ(s.name(), "");
+    EXPECT_EQ(s.description(), "");
+
+    const std::string prefix = "cluster0.pg1.core2";
+    static const char kDescription[] = "cycles spent issuing packets";
+    s.init(reg, prefix + ".issue_cycles", kDescription);
+    EXPECT_EQ(s.name(), "cluster0.pg1.core2.issue_cycles");
+    EXPECT_EQ(s.description(), kDescription);
+    EXPECT_EQ(reg.stat(s.name()), &s);
+
+    Stat &owned = reg.counter("serve.retries", "batch re-executions");
+    EXPECT_EQ(owned.name(), "serve.retries");
+    EXPECT_EQ(owned.description(), "batch re-executions");
+    EXPECT_EQ(&reg.counter("serve.retries", "batch re-executions"), &owned);
+    // A name Stat::init() registered is not counter()'s to share.
+    EXPECT_THROW(reg.counter(s.name(), "other"), PanicError);
+
+    Histogram h;
+    h.init(reg, "pg0.dma.latency", "descriptor latency", 0.0, 10.0, 4);
+    EXPECT_EQ(h.name(), "pg0.dma.latency");
+    EXPECT_EQ(h.description(), "descriptor latency");
+    EXPECT_EQ(reg.histogram("pg0.dma.latency"), &h);
+}
+
+TEST(Stats, StandaloneHistogramCopiesWithEmptyName)
+{
+    std::optional<Histogram> original;
+    original.emplace();
+    original->init(0.0, 10.0, 4);
+    original->sample(2.0);
+    original->sample(7.0);
+    Histogram copy = *original;
+    original.reset();
+
+    EXPECT_EQ(copy.name(), "");
+    EXPECT_EQ(copy.description(), "");
+    EXPECT_EQ(copy.count(), 2u);
+    EXPECT_EQ(copy.buckets(), (std::vector<std::uint64_t>{1, 0, 1, 0}));
+    copy.sample(9.0);
+    EXPECT_EQ(copy.count(), 3u);
+}
+
+/** Text, JSON and Prometheus renderings of @p reg, concatenated. */
+std::string
+renderAll(const StatRegistry &reg)
+{
+    std::ostringstream os;
+    reg.dump(os);
+    reg.dumpJson(os);
+    obs::writePrometheusText(reg, os, "dtusim");
+    return os.str();
+}
+
+TEST(Stats, RegistrationOrderDoesNotChangeDump)
+{
+    struct Spec
+    {
+        const char *name;
+        const char *description;
+        double value;
+    };
+    const std::vector<Spec> specs = {
+        {"pg1.dma.bytes", "bytes moved", 4096.0},
+        {"hbm.ch0.bytes", "", 512.0},
+        {"pg0.core3.cycles", "busy cycles", 17.0},
+        {"pg0.core10.cycles", "busy cycles", 3.0},
+        {"cpme.frequency_ghz", "current frequency", 1.4},
+    };
+    auto build = [&](const std::vector<std::size_t> &order) {
+        auto reg = std::make_unique<StatRegistry>();
+        auto stats = std::make_unique<Stat[]>(specs.size());
+        for (std::size_t i : order) {
+            stats[i].init(*reg, specs[i].name, specs[i].description);
+            stats[i].set(specs[i].value);
+        }
+        return std::make_pair(std::move(reg), std::move(stats));
+    };
+    auto [forward, forward_stats] = build({0, 1, 2, 3, 4});
+    auto [backward, backward_stats] = build({4, 3, 2, 1, 0});
+    auto [shuffled, shuffled_stats] = build({2, 0, 4, 1, 3});
+    Histogram hf, hb, hs;
+    hf.init(*forward, "lat", "latency", 0.0, 8.0, 4);
+    hb.init(*backward, "lat", "latency", 0.0, 8.0, 4);
+    hs.init(*shuffled, "lat", "latency", 0.0, 8.0, 4);
+    for (Histogram *h : {&hf, &hb, &hs})
+        h->sample(3.0);
+
+    const std::string expected = renderAll(*forward);
+    EXPECT_EQ(renderAll(*backward), expected);
+    EXPECT_EQ(renderAll(*shuffled), expected);
+    EXPECT_EQ(backward->scalarNames(), forward->scalarNames());
+    EXPECT_EQ(shuffled->snapshot(0).values, forward->snapshot(0).values);
+    EXPECT_EQ(forward->scalarNames().front(), "cpme.frequency_ghz");
+}
+
+TEST(Stats, LateRegistrationIsVisible)
+{
+    StatRegistry reg;
+    Stat early;
+    early.init(reg, "serve.early", "registered first");
+    early += 2.0;
+    EXPECT_FALSE(reg.tryLookup("serve.late").has_value());
+    EXPECT_DOUBLE_EQ(reg.sumMatching("serve."), 2.0);
+    std::ostringstream before;
+    reg.dump(before);
+
+    reg.counter("serve.late", "registered after the first queries") += 5.0;
+    EXPECT_DOUBLE_EQ(reg.lookup("serve.late"), 5.0);
+    EXPECT_DOUBLE_EQ(reg.sumMatching("serve."), 7.0);
+    EXPECT_TRUE(reg.has("serve.late"));
+    std::ostringstream after;
+    reg.dump(after);
+    EXPECT_EQ(after.str(),
+              "serve.early 2 # registered first\n"
+              "serve.late 5 # registered after the first queries\n");
+    EXPECT_NE(after.str(), before.str());
+    EXPECT_EQ(reg.scalarNames(),
+              (std::vector<std::string>{"serve.early", "serve.late"}));
+}
+
+/** FNV-1a (64-bit) of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+// The digests pin a whole chip's stat surface byte for byte: every
+// name, value and description of a dtu2 chip after one ResNet50 batch,
+// in the text dump, the JSON dump and the Prometheus exposition.
+TEST(Stats, ChipDumpsMatchParent)
+{
+    const DtuConfig config = dtu2Config();
+    Dtu chip(config);
+    ExecutionPlan plan = compile(models::buildModel("resnet50", 1), config,
+                                 DType::FP16, config.totalGroups());
+    std::vector<unsigned> groups;
+    for (unsigned g = 0; g < config.totalGroups(); ++g)
+        groups.push_back(g);
+    Executor executor(chip, groups, {.powerManagement = false});
+    executor.run(plan);
+
+    std::ostringstream text, json, prom;
+    chip.stats().dump(text);
+    chip.stats().dumpJson(json);
+    obs::writePrometheusText(chip.stats(), prom, "dtusim");
+    EXPECT_EQ(fnv1a(text.str()), 0xaab50c7f60f9b9f6ull) << std::hex << fnv1a(text.str());
+    EXPECT_EQ(fnv1a(json.str()), 0xe31bc843c4f2cfe8ull) << std::hex << fnv1a(json.str());
+    EXPECT_EQ(fnv1a(prom.str()), 0x70451e8f733940aeull) << std::hex << fnv1a(prom.str());
 }
 
 TEST(Random, DeterministicForSameSeed)
