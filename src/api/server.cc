@@ -134,7 +134,7 @@ FleetServer::enableSloMonitor(obs::SloConfig config)
 {
     fatalIf(sloMon_ != nullptr, "fleet already has an SLO monitor");
     sloMon_ = std::make_unique<obs::SloMonitor>(config);
-    fleet_->setSloMonitor(sloMon_.get());
+    attachObservers();
     wireFlightAlerts();
     return *sloMon_;
 }
@@ -145,7 +145,7 @@ FleetServer::enableRequestTracing(obs::RequestTraceConfig config)
     fatalIf(reqTracer_ != nullptr,
             "fleet already has a request tracer");
     reqTracer_ = std::make_unique<obs::RequestTracer>(config);
-    fleet_->setRequestTracer(reqTracer_.get());
+    attachObservers();
     if (flightRec_)
         reqTracer_->setFlightRecorder(flightRec_.get());
     return *reqTracer_;
@@ -159,10 +159,28 @@ FleetServer::enableEnergyMonitor(obs::EnergyMonitorConfig config)
     energyMon_ = std::make_unique<obs::EnergyMonitor>(config);
     for (unsigned i = 0; i < size(); ++i)
         energyMon_->attach(i, devices_[i]->chip());
-    fleet_->setEnergyMonitor(energyMon_.get());
+    attachObservers();
     if (flightRec_)
         energyMon_->setFlightRecorder(flightRec_.get());
     return *energyMon_;
+}
+
+void
+FleetServer::attachObservers()
+{
+    // A fixed kind order, whatever order they were enabled in, so
+    // no artifact depends on the enable order. At serve end, for
+    // one, the SLO monitor's last window can raise a burn alert that
+    // dumps the flight recorder before the energy monitor forwards
+    // its last power decisions there.
+    serve::Observers observers;
+    if (sloMon_)
+        observers.push_back(sloMon_.get());
+    if (reqTracer_)
+        observers.push_back(reqTracer_.get());
+    if (energyMon_)
+        observers.push_back(energyMon_.get());
+    fleet_->setObservers(std::move(observers));
 }
 
 void

@@ -236,6 +236,9 @@ class FleetServer
     /** Build the fleet over devices_. */
     void openFleet();
 
+    /** Hand the enabled observers to the fleet, in kind order. */
+    void attachObservers();
+
     /** Every chip's tracer, for the merged trace; needs a tracer. */
     std::vector<const Tracer *> chipTracers(const char *caller) const;
 

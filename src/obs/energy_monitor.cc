@@ -196,19 +196,17 @@ EnergyMonitor::auditTrail(unsigned device) const
 }
 
 void
-EnergyMonitor::recordOps(std::uint64_t order, unsigned device,
-                         const std::string &model,
-                         const std::string &phase,
-                         const ExecResult &result)
+EnergyMonitor::onBatchExecuted(unsigned device,
+                               const serve::Launch &launch)
 {
     if (!config_.corpus)
         return;
-    std::vector<EnergyCorpusRow> &rows = runCorpus_[order];
-    for (const OpTrace &op : result.trace) {
+    std::vector<EnergyCorpusRow> &rows = runCorpus_[launch.ticket.seq];
+    for (const OpTrace &op : launch.result.trace) {
         EnergyCorpusRow row;
         row.device = device;
-        row.model = model;
-        row.phase = phase;
+        row.model = launch.model;
+        row.phase = serve::launchKindName(launch.kind);
         row.op = op.name;
         row.kind = opKindName(op.anchor);
         row.macs = op.macs;

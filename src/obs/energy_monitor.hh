@@ -47,16 +47,13 @@
 #include <string>
 #include <vector>
 
-#include "obs/fleet_metrics.hh"
-#include "power/power_event.hh"
 #include "power/power_model.hh"
-#include "sim/ticks.hh"
+#include "serve/observer.hh"
 
 namespace dtu
 {
 
 class Dtu;
-struct ExecResult;
 
 namespace obs
 {
@@ -78,23 +75,6 @@ struct EnergyMonitorConfig
     std::size_t auditCapacity = 1024;
     /** Record the per-operator energy-feature corpus (opt-in). */
     bool corpus = false;
-};
-
-/**
- * One device's chip-side readings at a metric sample point: the
- * meters, the DVFS point, and the power-manager decisions recorded
- * since the device's previous reading.
- */
-struct ChipReading
-{
-    unsigned device = 0;
-    double joules = 0.0;
-    std::uint64_t windows = 0;
-    std::uint64_t throttled = 0;
-    double frequencyGhz = 0.0;
-    /** Audit events recorded since the previous reading, oldest
-     *  first (events the ring evicted in between are lost). */
-    std::vector<PowerEvent> audit;
 };
 
 /** One per-operator energy-feature corpus row. */
@@ -120,14 +100,19 @@ struct EnergyCorpusRow
 };
 
 /** The fleet-wide energy/power observer. */
-class EnergyMonitor
+class EnergyMonitor : public serve::ServingObserver
 {
   public:
     explicit EnergyMonitor(EnergyMonitorConfig config = {});
 
     const EnergyMonitorConfig &config() const { return config_; }
-    Tick samplePeriod() const { return config_.samplePeriod; }
-    bool corpusEnabled() const { return config_.corpus; }
+    std::optional<Tick> samplePeriod() const override
+    {
+        return config_.samplePeriod;
+    }
+    /** The corpus needs every launch's operator traces. */
+    bool needsOpTraces() const override { return config_.corpus; }
+    bool attributesEnergy() const override { return true; }
 
     /**
      * Watch chip @p dtu as fleet device @p device. Installs the
@@ -141,7 +126,10 @@ class EnergyMonitor
     std::size_t deviceCount() const { return devices_.size(); }
 
     /** True when @p device is attached. */
-    bool watches(unsigned device) const { return find(device) != nullptr; }
+    bool watches(unsigned device) const override
+    {
+        return find(device) != nullptr;
+    }
 
     /**
      * Forward drained CPME/LPME decisions to @p recorder's power
@@ -158,7 +146,7 @@ class EnergyMonitor
      * so all reported energy is this run's. The corpus is *not*
      * cleared — it accumulates across runs by design.
      */
-    void beginRun(Tick at);
+    void beginRun(Tick at) override;
 
     /**
      * Read attached device @p device's chip: its meters, DVFS point
@@ -167,7 +155,7 @@ class EnergyMonitor
      * serving loop calls it where the chip's work runs, in line with
      * the chip's launches.
      */
-    ChipReading read(unsigned device);
+    ChipReading read(unsigned device) override;
 
     /**
      * Fill the power telemetry of @p sample's device entries from
@@ -178,14 +166,14 @@ class EnergyMonitor
      * serving loops call it once per metric sample, in sample order.
      */
     void annotate(FleetMetricSample &sample,
-                  const std::vector<ChipReading> &readings);
+                  const std::vector<ChipReading> &readings) override;
 
     /**
      * The run ended at @p at, with every chip idle: extend the
      * power-averaging span to the final completion, forward the
      * audit tails, and append the run's corpus rows.
      */
-    void endRun(Tick at);
+    void endRun(Tick at) override;
 
     /** Energy consumed by @p device since beginRun(), by component. */
     EnergyBreakdown runBreakdown(unsigned device) const;
@@ -200,15 +188,13 @@ class EnergyMonitor
     const PowerAuditTrail *auditTrail(unsigned device) const;
 
     /**
-     * Record one executed batch's operator traces for the energy
-     * corpus (no-op unless config().corpus). @p order is the batch's
-     * launch order within the run: endRun() appends the run's rows
-     * in that order, after every earlier run's, whatever order the
-     * batches were recorded in.
+     * Record one launch's operator traces for the energy corpus
+     * (no-op unless config().corpus). The launch's ticket seq orders
+     * the run: endRun() appends the run's rows in launch order, after
+     * every earlier run's, whatever order the launches were read in.
      */
-    void recordOps(std::uint64_t order, unsigned device,
-                   const std::string &model, const std::string &phase,
-                   const ExecResult &result);
+    void onBatchExecuted(unsigned device,
+                         const serve::Launch &launch) override;
 
     const std::vector<EnergyCorpusRow> &corpus() const
     {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "power/power_event.hh"
 #include "sim/ticks.hh"
 
 namespace dtu
@@ -72,6 +73,23 @@ struct FleetMetricSample
     Tick at = 0;
     /** Per-device state, index order. */
     std::vector<DeviceMetricSample> devices;
+};
+
+/**
+ * One device's chip-side readings at a metric sample point: the
+ * meters, the DVFS point, and the power-manager decisions recorded
+ * since the device's previous reading.
+ */
+struct ChipReading
+{
+    unsigned device = 0;
+    double joules = 0.0;
+    std::uint64_t windows = 0;
+    std::uint64_t throttled = 0;
+    double frequencyGhz = 0.0;
+    /** Audit events recorded since the previous reading, oldest
+     *  first (events the ring evicted in between are lost). */
+    std::vector<PowerEvent> audit;
 };
 
 /** An append-only series of fleet snapshots over one run. */

@@ -128,21 +128,20 @@ RequestTracer::linkBatch(Tracer &chip,
 
 void
 RequestTracer::onBatchExecuted(unsigned device,
-                               const std::vector<serve::Request> &batch,
-                               Tick dispatched, Tick exec_end,
-                               unsigned retries, bool linked)
+                               const serve::Launch &launch)
 {
-    for (const serve::Request &r : batch) {
+    for (const serve::Request &r : launch.sampled) {
         if (!sampled(r.id))
             continue;
         RequestRecord &rec = recordFor(r.id, r);
         rec.outcome.device = static_cast<int>(device);
         rec.executed = true;
-        rec.outcome.dispatched = dispatched;
-        rec.outcome.completed = exec_end;
-        rec.outcome.batchSize = static_cast<unsigned>(batch.size());
-        rec.outcome.retries = retries;
-        rec.deviceLinked = rec.deviceLinked || linked;
+        rec.outcome.dispatched = launch.launched;
+        rec.outcome.completed = launch.result.end;
+        rec.outcome.batchSize =
+            static_cast<unsigned>(launch.sampled.size());
+        rec.outcome.retries = launch.retries;
+        rec.deviceLinked = rec.deviceLinked || launch.linked;
     }
 }
 
@@ -214,38 +213,20 @@ RequestTracer::finishRecord(RequestRecord &rec)
 }
 
 void
-RequestTracer::onComplete(unsigned device,
-                          const serve::RequestOutcome &completed)
+RequestTracer::onTerminal(unsigned device,
+                          const serve::RequestOutcome &outcome)
 {
-    const serve::Request &r = completed.request;
+    const serve::Request &r = outcome.request;
     if (!sampled(r.id))
         return;
     RequestRecord &rec = recordFor(r.id, r);
     const int routed = rec.outcome.device;
-    rec.outcome = completed;
+    rec.outcome = outcome;
     if (rec.outcome.device < 0)
         rec.outcome.device =
             routed >= 0 ? routed : static_cast<int>(device);
-    rec.executed = true;
-    finishRecord(rec);
-    pending_.erase(r.id);
-}
-
-void
-RequestTracer::onDrop(unsigned device,
-                      const serve::RequestOutcome &dropped)
-{
-    const serve::Request &r = dropped.request;
-    if (!sampled(r.id))
-        return;
-    RequestRecord &rec = recordFor(r.id, r);
-    const int routed = rec.outcome.device;
-    const bool executed = rec.executed;
-    rec.outcome = dropped;
-    if (rec.outcome.device < 0)
-        rec.outcome.device =
-            routed >= 0 ? routed : static_cast<int>(device);
-    rec.executed = executed;
+    // A drop keeps whether a batch of the request executed.
+    rec.executed = rec.executed || outcome.completedOk();
     finishRecord(rec);
     pending_.erase(r.id);
 }

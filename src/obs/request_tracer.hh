@@ -23,9 +23,9 @@
  * Sampling is head-based: whether a request is traced is a pure hash
  * of (seed, request id), decided identically at every hook site, so
  * a sampled request's chain is always complete and the decision draws
- * no simulator RNG state. With no RequestTracer attached every hook
- * is a null-pointer check and serving output is bit-for-bit
- * unchanged (golden-asserted in the tests).
+ * no simulator RNG state. The tracer is a serve::ServingObserver;
+ * with none attached serving output is bit-for-bit unchanged
+ * (golden-asserted in the tests).
  *
  * The tracer also ingests the fleet's periodic metric snapshots
  * (obs/fleet_metrics.hh), turning them into per-device counter
@@ -42,9 +42,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/fleet_metrics.hh"
 #include "obs/flight_recorder.hh"
-#include "serve/request.hh"
+#include "serve/observer.hh"
 #include "sim/tracer.hh"
 
 namespace dtu
@@ -71,7 +70,7 @@ struct RequestTraceConfig
 };
 
 /** Samples request lifecycles into a Chrome/Perfetto timeline. */
-class RequestTracer
+class RequestTracer : public serve::ServingObserver
 {
   public:
     explicit RequestTracer(RequestTraceConfig config = {});
@@ -81,7 +80,7 @@ class RequestTracer
     const RequestTraceConfig &config() const { return config_; }
 
     /** Whole-trace sampling decision for @p id (pure, stateless). */
-    bool sampled(std::uint64_t id) const;
+    bool sampled(std::uint64_t id) const override;
 
     /** The request-lane timeline (always recording; spans are only
      *  emitted for sampled requests). */
@@ -98,15 +97,16 @@ class RequestTracer
     // Lifecycle hooks, called by serve::Fleet / serve::Scheduler.
     //
 
-    /** The router assigned @p r to @p device (fleet runs only). */
-    void onRoute(unsigned device, const serve::Request &r);
+    /** The router assigned @p r to @p device. */
+    void onRoute(unsigned device, const serve::Request &r) override;
 
     /** @p r passed admission control into @p device's queue. */
-    void onAdmit(unsigned device, const serve::Request &r);
+    void onAdmit(unsigned device, const serve::Request &r) override;
 
     /** @p device began a modeled weight load for @p model. */
     void onWeightLoad(unsigned device, const std::string &model,
-                      Tick start, Tick end, std::uint64_t bytes);
+                      Tick start, Tick end,
+                      std::uint64_t bytes) override;
 
     /**
      * The chip half of a batch execution, called where the chip's
@@ -119,45 +119,44 @@ class RequestTracer
      */
     bool linkBatch(Tracer &chip,
                    const std::vector<serve::Request> &batch,
-                   Tick link_ts) const;
+                   Tick link_ts) const override;
 
     /**
-     * A batch holding @p batch dispatched on @p device at
-     * @p dispatched and executed through @p exec_end after
-     * @p retries re-runs; @p linked is linkBatch()'s result. Called
-     * by the serving loop when it reads the batch's result.
+     * The serving loop read @p launch on @p device: its sampled
+     * riders were dispatched at the launch tick and executed through
+     * the executor's end (before any fabric overlay).
      */
     void onBatchExecuted(unsigned device,
-                         const std::vector<serve::Request> &batch,
-                         Tick dispatched, Tick exec_end,
-                         unsigned retries, bool linked);
+                         const serve::Launch &launch) override;
 
-    /** Terminal state: @p completed finished on @p device. */
-    void onComplete(unsigned device,
-                    const serve::RequestOutcome &completed);
-
-    /** Terminal state: @p dropped left @p device's pipeline. */
-    void onDrop(unsigned device, const serve::RequestOutcome &dropped);
+    /** Terminal state: @p outcome completed on, or dropped out of,
+     *  @p device's pipeline. */
+    void onTerminal(unsigned device,
+                    const serve::RequestOutcome &outcome) override;
 
     //
     // Metric time-series.
     //
 
-    Tick metricPeriod() const { return config_.metricPeriod; }
+    /** The configured metric period (0 disables the series). */
+    std::optional<Tick> samplePeriod() const override
+    {
+        return config_.metricPeriod;
+    }
 
     /**
      * Emit one fleet snapshot's counter tracks. Called at the sample
      * tick: the counters read only the loop's own fields, and their
      * place among the other trace events fixes the merged trace.
      */
-    void recordCounters(const FleetMetricSample &sample);
+    void recordCounters(const FleetMetricSample &sample) override;
 
     /**
      * Append one fleet snapshot, power telemetry included, to the
      * series and the flight recorder's ring. Called once per
      * snapshot, in sample order, after recordCounters().
      */
-    void recordMetrics(const FleetMetricSample &sample);
+    void recordMetrics(const FleetMetricSample &sample) override;
 
     const FleetMetricSeries &metrics() const { return series_; }
 

@@ -59,23 +59,21 @@ SloMonitor::fireAlert(const SloAlert &alert)
 }
 
 void
-SloMonitor::recordCompletion(const serve::RequestOutcome &completed)
+SloMonitor::onTerminal(unsigned, const serve::RequestOutcome &outcome)
 {
+    if (!outcome.completedOk()) {
+        pendingDrops_.push_back(outcome.completed);
+        ++totalDropped_;
+        return;
+    }
     PendingCompletion p;
-    p.at = completed.completed;
-    p.latencyMs = ticksToMilliSeconds(completed.latency());
-    p.missed = completed.missedDeadline();
+    p.at = outcome.completed;
+    p.latencyMs = ticksToMilliSeconds(outcome.latency());
+    p.missed = outcome.missedDeadline();
     pendingCompletions_.push_back(p);
     ++totalCompleted_;
     if (p.missed)
         ++totalMissed_;
-}
-
-void
-SloMonitor::recordDrop(const serve::RequestOutcome &dropped)
-{
-    pendingDrops_.push_back(dropped.completed);
-    ++totalDropped_;
 }
 
 void
@@ -158,7 +156,7 @@ SloMonitor::advanceTo(Tick now)
 }
 
 void
-SloMonitor::finish(Tick at)
+SloMonitor::endRun(Tick at)
 {
     advanceTo(at);
     // The final partial window: the run ended inside it; report it

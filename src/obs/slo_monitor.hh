@@ -19,8 +19,8 @@
  * registered callback immediately — mid-run, at the simulated time
  * of the crossing — and are also kept for post-run inspection.
  *
- * Strictly opt-in: a Scheduler without a monitor behaves bit-for-bit
- * identically (the hooks are null-pointer checks).
+ * Strictly opt-in: it is a serve::ServingObserver, and a fleet
+ * without it behaves bit-for-bit identically.
  */
 
 #ifndef DTU_OBS_SLO_MONITOR_HH
@@ -32,8 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/request.hh"
-#include "sim/ticks.hh"
+#include "serve/observer.hh"
 
 namespace dtu
 {
@@ -99,7 +98,7 @@ struct SloWindow
 };
 
 /** Sliding-window SLO monitor fed by the serving scheduler. */
-class SloMonitor
+class SloMonitor : public serve::ServingObserver
 {
   public:
     using AlertCallback = std::function<void(const SloAlert &)>;
@@ -119,24 +118,23 @@ class SloMonitor
      */
     void addAlertListener(AlertCallback listener);
 
-    /** Ingest one completed request (at its completion time). */
-    void recordCompletion(const serve::RequestOutcome &completed);
-
-    /** Ingest one dropped request (at its drop time). */
-    void recordDrop(const serve::RequestOutcome &dropped);
+    /** Ingest one completed or dropped request (at its terminal
+     *  time). */
+    void onTerminal(unsigned device,
+                    const serve::RequestOutcome &outcome) override;
 
     /**
      * Close every window that ends at or before @p now. Safe to call
-     * with non-decreasing times; the scheduler calls it once per
+     * with non-decreasing times; the fleet loop calls it once per
      * event-loop step.
      */
-    void advanceTo(Tick now);
+    void advanceTo(Tick now) override;
 
     /**
      * End of run: close windows through @p at and flush the final
      * partial window (if it holds any events).
      */
-    void finish(Tick at);
+    void endRun(Tick at) override;
 
     /** Closed windows so far (empty windows are skipped). */
     const std::vector<SloWindow> &windows() const { return windows_; }

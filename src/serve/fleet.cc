@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/energy_monitor.hh"
-#include "obs/request_tracer.hh"
-#include "obs/slo_monitor.hh"
 #include "serve/arrival.hh"
 #include "serve/metric_sampler.hh"
 #include "sim/fault.hh"
@@ -166,7 +163,7 @@ Fleet::Fleet(std::vector<Member> members, FleetConfig config)
         const Member &m = members[g * groupSize_];
         devices_.push_back(std::make_unique<Scheduler>(
             *m.dtu, *m.manager, config_.serving, plans_,
-            static_cast<unsigned>(g)));
+            static_cast<unsigned>(g), observers_));
         view_.push_back(devices_.back().get());
     }
     rebuildFabric();
@@ -183,30 +180,6 @@ Fleet::rebuildFabric()
         config_.fabric, config_.devices, groupSize_);
     for (unsigned g = 0; g < devices_.size(); ++g)
         devices_[g]->setSharding(fabric_.get(), g, config_.placement);
-}
-
-void
-Fleet::setSloMonitor(obs::SloMonitor *monitor)
-{
-    sloMon_ = monitor;
-    for (auto &dev : devices_)
-        dev->setSloMonitor(monitor);
-}
-
-void
-Fleet::setRequestTracer(obs::RequestTracer *tracer)
-{
-    reqTracer_ = tracer;
-    for (auto &dev : devices_)
-        dev->setRequestTracer(tracer);
-}
-
-void
-Fleet::setEnergyMonitor(obs::EnergyMonitor *monitor)
-{
-    energyMon_ = monitor;
-    for (auto &dev : devices_)
-        dev->setEnergyMonitor(monitor);
 }
 
 void
@@ -268,8 +241,8 @@ Fleet::serve(std::vector<Request> trace)
         ScopedLogDevice log_dev(static_cast<int>(i));
         devices_[i]->begin(now, &future);
     }
-    if (energyMon_)
-        energyMon_->beginRun(now);
+    for (ServingObserver *o : observers_)
+        o->beginRun(now);
 
     // A fresh router per run keeps serve() deterministic regardless
     // of what earlier runs routed.
@@ -289,8 +262,8 @@ Fleet::serve(std::vector<Request> trace)
             --future[r.model];
             unsigned d = router_->route(r, view_);
             fatalIf(d >= n, "router picked device ", d, " of ", n);
-            if (reqTracer_)
-                reqTracer_->onRoute(d, r);
+            for (ServingObserver *o : observers_)
+                o->onRoute(d, r);
             ScopedLogDevice log_dev(static_cast<int>(d));
             devices_[d]->placeModel(r.model, r.arrival,
                                     config_.weightLoadGbps);
@@ -320,7 +293,7 @@ Fleet::serve(std::vector<Request> trace)
     // whose work runs on its placement group's lane.
     MetricSampler sampler(
         lanes, [g = groupSize_](unsigned d) { return d / g; },
-        reqTracer_, energyMon_);
+        observers_);
     sampler_ = &sampler;
 
     admitUpTo(now);
@@ -374,8 +347,8 @@ Fleet::serve(std::vector<Request> trace)
             sampler.take(std::move(sample));
             next_sample = (now / metric_period + 1) * metric_period;
         }
-        if (sloMon_)
-            sloMon_->advanceTo(now);
+        for (ServingObserver *o : observers_)
+            o->advanceTo(now);
     }
     for (unsigned i = 0; i < n; ++i)
         lanes.drain(i);
@@ -384,10 +357,8 @@ Fleet::serve(std::vector<Request> trace)
     for (const auto &dev : devices_)
         last_completion =
             std::max(last_completion, dev->lastCompletion());
-    if (sloMon_)
-        sloMon_->finish(std::max(now, last_completion));
-    if (energyMon_)
-        energyMon_->endRun(std::max(now, last_completion));
+    for (ServingObserver *o : observers_)
+        o->endRun(std::max(now, last_completion));
 
     return buildReport(offered, routed);
 }
@@ -424,6 +395,10 @@ Fleet::buildReport(double offered,
     std::uint64_t faults = 0;
     double joules = 0.0;
     double utilization = 0.0;
+    const bool energy = std::any_of(observers_.begin(), observers_.end(),
+                                    [](const ServingObserver *o) {
+                                        return o->attributesEnergy();
+                                    });
     for (unsigned i = 0; i < n; ++i) {
         DeviceReport dev;
         dev.device = i;
@@ -438,7 +413,7 @@ Fleet::buildReport(double offered,
         // leaves the generation counters readable; taking it here
         // keeps the ordering obviously safe).
         fleet_gen.merge(devices_[i]->generationLog());
-        dev.report = devices_[i]->finish(offeredQps(routed[i]));
+        dev.report = devices_[i]->finish(offeredQps(routed[i]), energy);
         all_outcomes.insert(all_outcomes.end(),
                             dev.report.outcomes.begin(),
                             dev.report.outcomes.end());
@@ -453,7 +428,7 @@ Fleet::buildReport(double offered,
                              batches, joules,
                              utilization / static_cast<double>(n),
                              retries, faults, std::move(fleet_gen));
-    if (energyMon_) {
+    if (energy) {
         // Fleet-aggregate attribution: sum of the per-device deltas
         // the schedulers' finish() already attributed.
         EnergyBreakdown fleet_energy;

@@ -241,6 +241,10 @@ class Fleet
 
     Fleet(std::vector<Member> members, FleetConfig config);
 
+    /** The schedulers refer to the fleet's observer list. */
+    Fleet(const Fleet &) = delete;
+    Fleet &operator=(const Fleet &) = delete;
+
     /**
      * Drain a finalized arrival trace (see serve/arrival.hh) across
      * the fleet. When a chip's Tracer is enabled (or
@@ -263,32 +267,16 @@ class Fleet
     const fabric::Fabric *fabricPtr() const { return fabric_.get(); }
 
     /**
-     * Attach (or detach) a live SLO monitor fleet-wide: every
-     * device's completions and drops feed one monitor whose windows
-     * the fleet loop advances on the global timeline.
+     * Replace the observers (serve/observer.hh) the fleet loop, the
+     * device schedulers and the metric sampler notify, in list order.
+     * Observers see devices by fleet index and must outlive every
+     * serve(). Without observers the serving loop is bit-for-bit
+     * unchanged.
      */
-    void setSloMonitor(obs::SloMonitor *monitor);
-
-    /**
-     * Attach (or detach) a request-lifecycle tracer. Every device
-     * scheduler reports its hooks under its fleet index, the router's
-     * choices become trace instants, and the fleet loop samples the
-     * periodic metric time-series (obs/fleet_metrics.hh) at the
-     * tracer's configured period. Without a tracer the serving loop
-     * is bit-for-bit unchanged.
-     */
-    void setRequestTracer(obs::RequestTracer *tracer);
-
-    /**
-     * Attach (or detach) an energy monitor. Every device scheduler
-     * attributes its run energy by component under its fleet index,
-     * the fleet loop's metric samples carry power telemetry, and the
-     * fleet report gains the per-device and aggregate energy
-     * rollups. Without a monitor the serving loop is bit-for-bit
-     * unchanged. The caller attaches the chips to the monitor
-     * (EnergyMonitor::attach) — the fleet only drives sampling.
-     */
-    void setEnergyMonitor(obs::EnergyMonitor *monitor);
+    void setObservers(Observers observers)
+    {
+        observers_ = std::move(observers);
+    }
 
     /**
      * Apply the metric samples serve() has taken so far to the
@@ -315,13 +303,12 @@ class Fleet
     unsigned groupSize_ = 1;
     /** One compiled-plan cache for the identically configured devices. */
     PlanCache plans_;
+    /** Referred to by every scheduler: declared before them. */
+    Observers observers_;
     std::vector<std::unique_ptr<Scheduler>> devices_;
     std::vector<Scheduler *> view_;
     std::unique_ptr<fabric::Fabric> fabric_;
     std::unique_ptr<Router> router_;
-    obs::SloMonitor *sloMon_ = nullptr;
-    obs::RequestTracer *reqTracer_ = nullptr;
-    obs::EnergyMonitor *energyMon_ = nullptr;
     /** serve()'s metric sampler while it runs. */
     MetricSampler *sampler_ = nullptr;
 };

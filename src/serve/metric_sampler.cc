@@ -11,32 +11,34 @@ namespace serve
 
 MetricSampler::MetricSampler(LaneExecutor &lanes,
                              std::function<unsigned(unsigned)> lane_of,
-                             obs::RequestTracer *tracer,
-                             obs::EnergyMonitor *energy)
-    : lanes_(lanes), laneOf_(std::move(lane_of)), tracer_(tracer),
-      energy_(energy),
-      period_(tracer ? tracer->metricPeriod()
-                     : (energy ? energy->samplePeriod() : 0))
-{}
+                             const Observers &observers)
+    : lanes_(lanes), laneOf_(std::move(lane_of)), observers_(observers)
+{
+    for (const ServingObserver *o : observers_) {
+        if (std::optional<Tick> period = o->samplePeriod()) {
+            period_ = *period;
+            break;
+        }
+    }
+}
 
 void
 MetricSampler::take(obs::FleetMetricSample sample)
 {
     Pending &p = pending_.emplace_back();
     p.sample = std::move(sample);
-    if (tracer_)
-        tracer_->recordCounters(p.sample);
-    if (energy_) {
+    for (ServingObserver *o : observers_) {
+        o->recordCounters(p.sample);
         for (const obs::DeviceMetricSample &d : p.sample.devices) {
-            if (!energy_->watches(d.device))
+            if (!o->watches(d.device))
                 continue;
             auto slot = std::make_shared<obs::ChipReading>();
-            p.readings.push_back(slot);
-            p.tickets.push_back(lanes_.submit(
-                laneOf_(d.device),
-                [slot, energy = energy_, device = d.device] {
-                    *slot = energy->read(device);
-                }));
+            p.readings.push_back(
+                {o, slot,
+                 lanes_.submit(laneOf_(d.device),
+                               [slot, o, device = d.device] {
+                                   *slot = o->read(device);
+                               })});
         }
     }
     apply(false);
@@ -47,21 +49,23 @@ MetricSampler::apply(bool wait)
 {
     while (!pending_.empty()) {
         Pending &p = pending_.front();
-        if (!wait &&
-            !std::all_of(p.tickets.begin(), p.tickets.end(),
-                         [&](const LaneExecutor::Ticket &t) {
-                             return lanes_.done(t);
-                         }))
+        if (!wait && !std::all_of(p.readings.begin(), p.readings.end(),
+                                  [&](const Reading &r) {
+                                      return lanes_.done(r.ticket);
+                                  }))
             return;
-        std::vector<obs::ChipReading> readings;
-        for (std::size_t i = 0; i < p.tickets.size(); ++i) {
-            lanes_.wait(p.tickets[i]);
-            readings.push_back(std::move(*p.readings[i]));
+        for (ServingObserver *o : observers_) {
+            std::vector<obs::ChipReading> readings;
+            for (Reading &r : p.readings) {
+                if (r.observer != o)
+                    continue;
+                lanes_.wait(r.ticket);
+                readings.push_back(std::move(*r.slot));
+            }
+            o->annotate(p.sample, readings);
         }
-        if (energy_)
-            energy_->annotate(p.sample, readings);
-        if (tracer_)
-            tracer_->recordMetrics(p.sample);
+        for (ServingObserver *o : observers_)
+            o->recordMetrics(p.sample);
         pending_.pop_front();
     }
 }

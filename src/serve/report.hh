@@ -46,7 +46,8 @@ struct PhaseBreakdown
     double bytes = 0.0;
     /**
      * Per-component energy of the phase's operators (filled only
-     * when the run attributes energy; see Scheduler::setEnergyMonitor).
+     * when the run attributes energy: an observer's
+     * ServingObserver::attributesEnergy(), see serve/observer.hh).
      */
     EnergyBreakdown energy;
 

@@ -6,9 +6,6 @@
 #include "compiler/lowering.hh"
 #include "fabric/fabric.hh"
 #include "models/model_zoo.hh"
-#include "obs/energy_monitor.hh"
-#include "obs/request_tracer.hh"
-#include "obs/slo_monitor.hh"
 #include "sim/logging.hh"
 #include "sim/tracer.hh"
 #include "tensor/dtype.hh"
@@ -25,9 +22,20 @@ constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
 } // namespace
 
+const char *
+launchKindName(LaunchKind kind)
+{
+    switch (kind) {
+      case LaunchKind::Batch: return "batch";
+      case LaunchKind::Prefill: return "prefill";
+      case LaunchKind::Decode: return "decode";
+    }
+    return "?";
+}
+
 Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
                      ServingConfig config, PlanCache &plans,
-                     unsigned device)
+                     unsigned device, const Observers &observers)
     : dtu_(dtu), manager_(manager), config_(std::move(config)),
       plans_(plans), deviceId_(device),
       shedStat_(dtu.stats().counter(
@@ -43,7 +51,8 @@ Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
           "serve.failed_requests",
           "requests whose batch stayed poisoned")),
       retryStat_(dtu.stats().counter("serve.batch_retries",
-                                     "poisoned-batch re-executions"))
+                                     "poisoned-batch re-executions")),
+      observers_(observers)
 {
     fatalIf(config_.batching.maxBatch == 0,
             "dynamic batch size must be at least 1");
@@ -59,6 +68,15 @@ Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
             "decode batch size must be at least 1");
     fatalIf(config_.generation.ctxBucket == 0,
             "generation context bucket must be at least 1");
+}
+
+void
+Scheduler::setLanes(LaneExecutor *lanes, unsigned lane)
+{
+    lanes_ = lanes ? lanes : &inlineLanes_;
+    lane_ = lanes ? lane : 0;
+    for (Launch &l : launches_)
+        l.ticket = {};
 }
 
 template <typename BuildGraph>
@@ -217,8 +235,7 @@ Scheduler::begin(Tick start, const std::map<std::string, unsigned> *future)
     future_ = future;
     queue_ = RequestQueue();
     genQueue_ = RequestQueue();
-    active_.clear();
-    pending_.clear();
+    launches_.clear();
     decoding_.clear();
     decodeReady_.clear();
     outcomes_.clear();
@@ -363,9 +380,8 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
                         {{"bytes", static_cast<double>(moved)}});
         });
     }
-    if (reqTracer_)
-        reqTracer_->onWeightLoad(deviceId_, model, start, ready,
-                                 moved);
+    for (ServingObserver *o : observers_)
+        o->onWeightLoad(deviceId_, model, start, ready, moved);
 }
 
 Tick
@@ -497,8 +513,10 @@ std::size_t
 Scheduler::outstanding() const
 {
     std::size_t inflight = 0;
-    for (const ActiveBatch &b : active_)
-        inflight += b.requests.size();
+    for (const Launch &l : launches_) {
+        if (!l.retired)
+            inflight += l.requests.size();
+    }
     for (const DecodeBatch &b : decoding_)
         inflight += b.seqs.size();
     return queueDepth() + decodeReadyCount() + inflight;
@@ -507,12 +525,9 @@ Scheduler::outstanding() const
 std::size_t
 Scheduler::inFlightBatches() const
 {
-    std::size_t stepping = 0;
-    for (const DecodeBatch &b : decoding_) {
-        if (b.inStep)
-            ++stepping;
-    }
-    return active_.size() + stepping;
+    return static_cast<std::size_t>(
+        std::count_if(launches_.begin(), launches_.end(),
+                      [](const Launch &l) { return !l.retired; }));
 }
 
 std::size_t
@@ -525,60 +540,51 @@ Scheduler::decodeReadyCount() const
 }
 
 void
-Scheduler::recordRequestSpan(const std::string &model,
-                             const RequestOutcome &c)
+Scheduler::finishRequest(RequestOutcome c)
 {
-    onChip([this,
-            name = model + " #" + std::to_string(c.request.id),
-            from = c.request.arrival, to = c.completed,
-            args = TraceArgs{
-                {"queue_wait_us", ticksToMicroSeconds(c.queueWait())},
-                {"batch", static_cast<double>(c.batchSize)},
-                {"missed", c.missedDeadline() ? 1.0 : 0.0}}]() mutable {
-        dtu_.tracer().span(reqTrack_, name, "request", from, to,
-                           std::move(args));
-    });
-}
-
-void
-Scheduler::complete(RequestOutcome outcome)
-{
-    lastCompletion_ = std::max(lastCompletion_, outcome.completed);
-    if (sloMon_)
-        sloMon_->recordCompletion(outcome);
-    if (reqTracer_)
-        reqTracer_->onComplete(deviceId_, outcome);
-    outcomes_.push_back(std::move(outcome));
-    ++completedN_;
-}
-
-void
-Scheduler::dropOutcome(RequestOutcome outcome)
-{
-    switch (outcome.dropReason) {
-      case DropReason::Rejected: ++rejectedStat_; break;
-      case DropReason::Shed: ++shedStat_; break;
-      case DropReason::TimedOut: ++timedOutStat_; break;
-      case DropReason::Failed: ++failedStat_; break;
+    if (c.completedOk()) {
+        lastCompletion_ = std::max(lastCompletion_, c.completed);
+        ++completedN_;
+        if (timeline_) {
+            onChip([this,
+                    name = c.request.model + " #" +
+                           std::to_string(c.request.id),
+                    from = c.request.arrival, to = c.completed,
+                    args = TraceArgs{
+                        {"queue_wait_us",
+                         ticksToMicroSeconds(c.queueWait())},
+                        {"batch", static_cast<double>(c.batchSize)},
+                        {"missed", c.missedDeadline() ? 1.0 : 0.0}}]()
+                       mutable {
+                dtu_.tracer().span(reqTrack_, name, "request", from, to,
+                                   std::move(args));
+            });
+        }
+    } else {
+        ++droppedN_;
+        switch (c.dropReason) {
+          case DropReason::Rejected: ++rejectedStat_; break;
+          case DropReason::Shed: ++shedStat_; break;
+          case DropReason::TimedOut: ++timedOutStat_; break;
+          case DropReason::Failed: ++failedStat_; break;
+        }
+        if (timeline_) {
+            onChip([this,
+                    name = std::string(dropReasonName(c.dropReason)) +
+                           " #" + std::to_string(c.request.id),
+                    at = c.completed] {
+                dtu_.tracer().instant(dropTrack_, name, "degradation",
+                                      at);
+            });
+        }
     }
-    if (timeline_) {
-        onChip([this,
-                name = std::string(dropReasonName(outcome.dropReason)) +
-                       " #" + std::to_string(outcome.request.id),
-                at = outcome.completed] {
-            dtu_.tracer().instant(dropTrack_, name, "degradation", at);
-        });
-    }
-    if (sloMon_)
-        sloMon_->recordDrop(outcome);
-    if (reqTracer_)
-        reqTracer_->onDrop(deviceId_, outcome);
-    outcomes_.push_back(std::move(outcome));
-    ++droppedN_;
+    for (ServingObserver *o : observers_)
+        o->onTerminal(deviceId_, c);
+    outcomes_.push_back(std::move(c));
 }
 
-void
-Scheduler::drop(const Request &r, Tick at, DropReason reason)
+RequestOutcome
+Scheduler::dropped(const Request &r, Tick at, DropReason reason) const
 {
     RequestOutcome o;
     o.request = r;
@@ -586,7 +592,7 @@ Scheduler::drop(const Request &r, Tick at, DropReason reason)
     o.dropReason = reason;
     o.device = static_cast<int>(deviceId_);
     o.completed = at;
-    dropOutcome(std::move(o));
+    return o;
 }
 
 void
@@ -598,7 +604,7 @@ Scheduler::admit(const Request &r)
     const DegradationPolicy &degrade = config_.degradation;
     if (degrade.admissionLimit != 0 &&
         queueDepth() >= degrade.admissionLimit) {
-        drop(r, r.arrival, DropReason::Rejected);
+        finishRequest(dropped(r, r.arrival, DropReason::Rejected));
         return;
     }
     if (r.generative()) {
@@ -613,7 +619,7 @@ Scheduler::admit(const Request &r)
         // bounced like an over-limit arrival.
         if (!ensureKv().fitsEver(kvTokens(r),
                                  bytesPerTokenFor(r.model))) {
-            drop(r, r.arrival, DropReason::Rejected);
+            finishRequest(dropped(r, r.arrival, DropReason::Rejected));
             return;
         }
         genQueue_.push(r);
@@ -621,8 +627,8 @@ Scheduler::admit(const Request &r)
         queue_.push(r);
     }
     peakQueue_ = std::max(peakQueue_, queueDepth());
-    if (reqTracer_)
-        reqTracer_->onAdmit(deviceId_, r);
+    for (ServingObserver *o : observers_)
+        o->onAdmit(deviceId_, r);
 }
 
 // Load shedding + queue timeout: sweep queued requests whose
@@ -651,9 +657,9 @@ Scheduler::dropExpired(Tick at)
                                  r.arrival, degrade.requestTimeout);
             });
         for (const Request &r : victims) {
-            drop(r, at,
-                 expired(r) ? DropReason::Shed
-                            : DropReason::TimedOut);
+            finishRequest(dropped(r, at,
+                                  expired(r) ? DropReason::Shed
+                                             : DropReason::TimedOut));
         }
     }
 }
@@ -662,61 +668,65 @@ Scheduler::dropExpired(Tick at)
 // arrival could grow the batch further — and, when the fleet
 // modeled a weight load for this model, the weights are resident.
 bool
-Scheduler::shouldLaunch(const std::string &model, Tick now) const
+Scheduler::shouldLaunch(const RequestQueue &queue,
+                        const std::string &model, Tick now) const
 {
-    std::size_t depth = queue_.sizeFor(model);
+    std::size_t depth = queue.sizeFor(model);
     if (depth == 0)
         return false;
     if (weightReadyAt(model) > now)
         return false;
     if (depth >= config_.batching.maxBatchFor(model))
         return true;
-    if (now >= saturatingAddTicks(queue_.oldestArrival(model),
+    if (now >= saturatingAddTicks(queue.oldestArrival(model),
                                   config_.batching.maxQueueDelay))
         return true;
     return futureCount(model) == 0;
 }
 
-// The same rule over the generation queue (prefill launches).
 bool
-Scheduler::shouldLaunchGen(const std::string &model, Tick now) const
+Scheduler::sampled(const Request &r) const
 {
-    std::size_t depth = genQueue_.sizeFor(model);
-    if (depth == 0)
-        return false;
-    if (weightReadyAt(model) > now)
-        return false;
-    if (depth >= config_.batching.maxBatchFor(model))
-        return true;
-    if (now >= saturatingAddTicks(genQueue_.oldestArrival(model),
-                                  config_.batching.maxQueueDelay))
-        return true;
-    return futureCount(model) == 0;
+    return std::any_of(observers_.begin(), observers_.end(),
+                       [&](const ServingObserver *o) {
+                           return o->sampled(r.id);
+                       });
 }
 
 std::vector<Request>
 Scheduler::sampledRiders(const std::vector<Request> &riders) const
 {
-    if (reqTracer_) {
-        for (const Request &q : riders) {
-            if (reqTracer_->sampled(q.id))
-                return riders;
-        }
-    }
+    if (std::any_of(riders.begin(), riders.end(),
+                    [this](const Request &r) { return sampled(r); }))
+        return riders;
     return {};
 }
 
 template <typename ChipPart>
-LaneExecutor::Ticket
-Scheduler::submitLaunch(PhaseBreakdown *phase, ChipPart &&chip)
+Launch &
+Scheduler::launch(LaunchKind kind, const std::string &model, Tick now,
+                  Tick floor, std::vector<Request> sampled,
+                  ChipPart &&chip)
 {
-    PendingRun &pending = pending_.emplace_back();
-    pending.phase = phase;
-    pending.ticket = lanes_->submit(
-        lane_,
-        [&run = pending.run,
-         chip = std::forward<ChipPart>(chip)]() mutable { run = chip(); });
-    return pending.ticket;
+    Launch &l = launches_.emplace_back();
+    l.kind = kind;
+    l.model = model;
+    l.launched = now;
+    l.floor = floor;
+    l.sampled = std::move(sampled);
+    // Prefill and decode fold their traces into the phase sums; a
+    // sampled launch's first operator span is its flow anchor.
+    l.traceOps = kind != LaunchKind::Batch || !l.sampled.empty() ||
+                 std::any_of(observers_.begin(), observers_.end(),
+                             [](const ServingObserver *o) {
+                                 return o->needsOpTraces();
+                             });
+    l.ticket = lanes_->submit(
+        lane_, [&l, chip = std::forward<ChipPart>(chip)]() mutable {
+            chip(l);
+        });
+    ++batches_;
+    return l;
 }
 
 void
@@ -725,85 +735,61 @@ Scheduler::onChip(std::function<void()> fn)
     lanes_->submit(lane_, std::move(fn));
 }
 
-Scheduler::BatchRun
-Scheduler::executeBatch(const ExecutionPlan &p,
-                        std::vector<Request> sampled,
-                        const std::vector<unsigned> &groups, Tick now,
-                        unsigned max_retries, bool record_ops,
-                        const std::string &model, const char *phase)
+void
+Scheduler::executeBatch(Launch &l, const ExecutionPlan &p,
+                        const std::vector<unsigned> &groups,
+                        unsigned max_retries)
 {
     // Everything this chip and its group's peer links book from here
-    // on starts at or after now. Raised here, on the lane, rather
-    // than at settle: a raise ahead of a queued earlier launch would
-    // clamp its bookings.
-    dtu_.eventQueue().raiseLedgerWatermark(now);
+    // on starts at or after the launch tick. Raised here, on the
+    // lane, rather than at settle: a raise ahead of a queued earlier
+    // launch would clamp its bookings.
+    dtu_.eventQueue().raiseLedgerWatermark(l.launched);
     if (fabric_)
-        fabric_->raiseGroupWatermark(fabricGroup_, now);
+        fabric_->raiseGroupWatermark(fabricGroup_, l.launched);
     // A batch carrying a sampled request records its chip-side
     // operator spans (the flow-arrow targets) even when the user
-    // left the chip timeline off; the op trace supplies the flow
-    // anchor. Recording is observation only — simulated timing is
-    // unchanged.
-    const bool sampled_batch = !sampled.empty();
+    // left the chip timeline off. Recording is observation only —
+    // simulated timing is unchanged.
+    const bool sampled_batch = !l.sampled.empty();
     ExecOptions exec_opts = config_.exec;
-    if (sampled_batch)
-        exec_opts.trace = true;
-    if (record_ops)
-        exec_opts.trace = true;
-    // The energy-feature corpus needs every batch's operator traces,
-    // not just the generative phases' — same observation-only rule.
-    const bool corpus = energyMon_ && energyMon_->corpusEnabled();
-    if (corpus)
+    if (l.traceOps)
         exec_opts.trace = true;
     Executor executor(dtu_, groups, exec_opts);
     // Poisoned executions (uncorrectable ECC, exhausted DMA retries)
     // re-run on the same lease up to max_retries times; the lease is
     // held across retries so the re-execution cannot be starved by
     // new admissions.
-    BatchRun run;
-    Tick launch_at = now;
-    {
-        ScopedTracerEnable chip_scope(dtu_.tracer(), sampled_batch);
-        for (;;) {
-            std::uint64_t before =
-                faults_ ? faults_->poisonCount() : 0;
-            run.result = executor.run(p, launch_at);
-            run.poisoned =
-                faults_ && faults_->poisonCount() > before;
-            if (!run.poisoned || run.retries >= max_retries)
-                break;
-            ++run.retries;
-            launch_at = run.result.end;
-            if (timeline_) {
-                dtu_.tracer().instant(
-                    dropTrack_, "batch-retry " + model,
-                    "degradation", launch_at);
-            }
-        }
-        if (sampled_batch) {
-            // Flow anchor: the midpoint of the first operator span
-            // of the final execution.
-            const ExecResult &r = run.result;
-            Tick link =
-                r.trace.empty()
-                    ? launch_at + (r.end - launch_at) / 2
-                    : r.trace.front().start +
-                          (r.trace.front().end -
-                           r.trace.front().start) /
-                              2;
-            run.linked = reqTracer_->linkBatch(dtu_.tracer(), sampled,
-                                               link);
+    Tick launch_at = l.launched;
+    ScopedTracerEnable chip_scope(dtu_.tracer(), sampled_batch);
+    for (;;) {
+        std::uint64_t before = faults_ ? faults_->poisonCount() : 0;
+        l.result = executor.run(p, launch_at);
+        l.poisoned = faults_ && faults_->poisonCount() > before;
+        if (!l.poisoned || l.retries >= max_retries)
+            break;
+        ++l.retries;
+        launch_at = l.result.end;
+        if (timeline_) {
+            dtu_.tracer().instant(dropTrack_, "batch-retry " + l.model,
+                                  "degradation", launch_at);
         }
     }
-    // The observers' records are applied when the launch is read.
-    run.sampled = std::move(sampled);
-    run.launched = now;
-    if (corpus) {
-        run.model = model;
-        run.phase = phase;
+    if (sampled_batch) {
+        // Flow anchor: the midpoint of the first operator span of the
+        // final execution.
+        const ExecResult &r = l.result;
+        Tick link = r.trace.empty()
+                        ? launch_at + (r.end - launch_at) / 2
+                        : r.trace.front().start +
+                              (r.trace.front().end -
+                               r.trace.front().start) /
+                                  2;
+        for (const ServingObserver *o : observers_)
+            l.linked = o->linkBatch(dtu_.tracer(), l.sampled, link) ||
+                       l.linked;
     }
-    run.end = run.result.end;
-    return run;
+    l.end = l.result.end;
 }
 
 void
@@ -838,13 +824,9 @@ Scheduler::readResults(Tick upto)
     // before it are read too, which keeps the phase sums in launch
     // order.
     std::uint64_t last = 0;
-    for (const ActiveBatch &b : active_) {
-        if (b.ticket.seq && b.floor <= upto)
-            last = std::max(last, b.ticket.seq);
-    }
-    for (const DecodeBatch &b : decoding_) {
-        if (b.ticket.seq && b.stepFloor <= upto)
-            last = std::max(last, b.ticket.seq);
+    for (const Launch &l : launches_) {
+        if (l.ticket.seq && l.floor <= upto)
+            last = l.ticket.seq;
     }
     if (last)
         readThrough(last);
@@ -854,57 +836,41 @@ void
 Scheduler::readThrough(std::uint64_t seq)
 {
     lanes_->wait({lane_, seq});
-    while (!pending_.empty() && pending_.front().ticket.seq <= seq) {
-        PendingRun &p = pending_.front();
-        const BatchRun &run = p.run;
-        if (p.phase)
-            accumulatePhase(*p.phase, run.result);
-        batchRetries_ += run.retries;
-        retryStat_ += static_cast<double>(run.retries);
-        if (!run.sampled.empty())
-            reqTracer_->onBatchExecuted(deviceId_, run.sampled,
-                                        run.launched, run.result.end,
-                                        run.retries, run.linked);
-        // Read-back order across devices is not launch order: the
-        // lane seq puts the corpus rows back in launch order.
-        if (run.phase)
-            energyMon_->recordOps(p.ticket.seq, deviceId_, run.model,
-                                  run.phase, run.result);
-        auto active = std::find_if(
-            active_.begin(), active_.end(), [&](const ActiveBatch &b) {
-                return b.ticket.seq == p.ticket.seq;
-            });
-        Tick floor = 0;
-        if (active != active_.end()) {
-            floor = active->floor;
-            active->end = run.end;
-            active->retries = run.retries;
-            active->failed = run.poisoned;
-            active->ticket = {};
-        } else {
-            auto step = std::find_if(
-                decoding_.begin(), decoding_.end(),
-                [&](const DecodeBatch &b) {
-                    return b.ticket.seq == p.ticket.seq;
-                });
-            panicIf(step == decoding_.end(), "launch ", p.ticket.seq,
-                    " has no batch");
-            floor = step->stepFloor;
-            step->stepEnd = run.end;
-            step->stepPoisoned = run.poisoned;
-            step->ticket = {};
+    for (Launch &l : launches_) {
+        if (!l.ticket.seq)
+            continue;
+        if (l.ticket.seq > seq)
+            break;
+        if (l.kind != LaunchKind::Batch) {
+            accumulatePhase(l.kind == LaunchKind::Prefill
+                                ? genLog_.prefill
+                                : genLog_.decode,
+                            l.result);
         }
-        panicIf(run.end < floor, "batch ended at ", run.end,
-                " before its floor ", floor);
-        pending_.pop_front();
+        batchRetries_ += l.retries;
+        retryStat_ += static_cast<double>(l.retries);
+        for (ServingObserver *o : observers_)
+            o->onBatchExecuted(deviceId_, l);
+        panicIf(l.end < l.floor, "batch ended at ", l.end,
+                " before its floor ", l.floor);
+        l.ticket = {};
+        // Retirement reads only the end, retries and poison flag: free
+        // the operator traces now rather than when the record leaves.
+        l.result = {};
     }
+}
+
+void
+Scheduler::readAll()
+{
+    if (!launches_.empty() && launches_.back().ticket.seq)
+        readThrough(launches_.back().ticket.seq);
 }
 
 void
 Scheduler::drainChip()
 {
-    if (!pending_.empty())
-        readThrough(pending_.back().ticket.seq);
+    readAll();
     lanes_->drain(lane_);
 }
 
@@ -912,101 +878,83 @@ void
 Scheduler::advanceCompletions(Tick upto)
 {
     readResults(upto);
-    std::vector<ActiveBatch> still_running;
-    std::vector<ActiveBatch> done;
-    for (ActiveBatch &b : active_) {
-        (b.end <= upto ? done : still_running)
-            .push_back(std::move(b));
+    std::vector<Launch *> done;
+    for (Launch &l : launches_) {
+        if (!l.retired && l.kind != LaunchKind::Decode &&
+            l.due() <= upto)
+            done.push_back(&l);
     }
-    active_ = std::move(still_running);
     // Deterministic completion order: by (end, tenant).
     std::sort(done.begin(), done.end(),
-              [](const ActiveBatch &a, const ActiveBatch &b) {
-                  if (a.end != b.end)
-                      return a.end < b.end;
-                  return a.tenant < b.tenant;
+              [](const Launch *a, const Launch *b) {
+                  if (a->end != b->end)
+                      return a->end < b->end;
+                  return a->tenant < b->tenant;
               });
-    for (const ActiveBatch &b : done) {
-        manager_.release(b.tenant, b.end);
-        lastCompletion_ = std::max(lastCompletion_, b.end);
-        auto size = static_cast<unsigned>(b.requests.size());
+    for (Launch *lp : done) {
+        Launch &l = *lp;
+        l.retired = true;
+        manager_.release(l.tenant, l.end);
+        lastCompletion_ = std::max(lastCompletion_, l.end);
+        auto size = static_cast<unsigned>(l.requests.size());
+        const bool prefill = l.kind == LaunchKind::Prefill;
         if (timeline_) {
             TraceArgs args{{"batch", static_cast<double>(size)}};
-            if (b.retries)
+            if (l.retries)
                 args.emplace_back("retries",
-                                  static_cast<double>(b.retries));
-            if (b.failed)
+                                  static_cast<double>(l.retries));
+            if (l.poisoned)
                 args.emplace_back("failed", 1.0);
             onChip([this, args = std::move(args),
-                    name = b.prefill ? b.model + " prefill" : b.model,
-                    from = b.dispatched, to = b.end]() mutable {
+                    name = prefill ? l.model + " prefill" : l.model,
+                    from = l.launched, to = l.end]() mutable {
                 dtu_.tracer().span(batchTrack_, name, "serving-batch",
                                    from, to, std::move(args));
             });
         }
-        if (b.prefill) {
-            retirePrefill(b);
-            continue;
-        }
-        if (b.failed) {
+        if (l.poisoned) {
             // Retries ran out with the execution still poisoned:
             // the whole batch's results are suspect and every rider
-            // fails together.
-            for (const Request &r : b.requests) {
-                RequestOutcome o;
-                o.request = r;
-                o.state = TerminalState::Faulted;
-                o.dropReason = DropReason::Failed;
-                o.device = static_cast<int>(deviceId_);
-                o.dispatched = b.dispatched;
-                o.completed = b.end;
+            // fails together. A prefill leaves no trustworthy KV
+            // state, so its riders' reservations free immediately.
+            for (const Request &r : l.requests) {
+                if (prefill)
+                    kv_->release(r.id);
+                RequestOutcome o = dropped(r, l.end, DropReason::Failed);
+                o.dispatched = l.launched;
                 o.batchSize = size;
-                o.retries = b.retries;
-                dropOutcome(std::move(o));
+                o.retries = l.retries;
+                finishRequest(std::move(o));
             }
             continue;
         }
-        for (const Request &r : b.requests) {
+        if (prefill) {
+            retirePrefill(l);
+            continue;
+        }
+        for (const Request &r : l.requests) {
             RequestOutcome c;
             c.request = r;
             c.device = static_cast<int>(deviceId_);
-            c.dispatched = b.dispatched;
-            c.firstToken = b.end;
-            c.completed = b.end;
+            c.dispatched = l.launched;
+            c.firstToken = l.end;
+            c.completed = l.end;
             c.batchSize = size;
-            c.retries = b.retries;
-            if (timeline_)
-                recordRequestSpan(b.model, c);
-            complete(std::move(c));
+            c.retries = l.retries;
+            finishRequest(std::move(c));
         }
     }
     advanceDecode(upto);
+    while (!launches_.empty() && launches_.front().retired)
+        launches_.pop_front();
 }
 
 void
-Scheduler::retirePrefill(const ActiveBatch &b)
+Scheduler::retirePrefill(const Launch &l)
 {
     KvCache &kv = *kv_;
-    const auto size = static_cast<unsigned>(b.requests.size());
-    if (b.failed) {
-        // A poisoned prefill leaves no trustworthy KV state: the
-        // riders fail here and their reservations free immediately.
-        for (const Request &r : b.requests) {
-            kv.release(r.id);
-            RequestOutcome o;
-            o.request = r;
-            o.state = TerminalState::Faulted;
-            o.dropReason = DropReason::Failed;
-            o.device = static_cast<int>(deviceId_);
-            o.dispatched = b.dispatched;
-            o.completed = b.end;
-            o.batchSize = size;
-            o.retries = b.retries;
-            dropOutcome(std::move(o));
-        }
-        return;
-    }
-    for (const Request &r : b.requests) {
+    const auto size = static_cast<unsigned>(l.requests.size());
+    for (const Request &r : l.requests) {
         // Prefill materializes the prompt's KV pages plus the first
         // generated token.
         kv.grow(r.id, r.gen.promptLen + 1);
@@ -1019,27 +967,25 @@ Scheduler::retirePrefill(const ActiveBatch &b)
             RequestOutcome o;
             o.request = r;
             o.device = static_cast<int>(deviceId_);
-            o.dispatched = b.dispatched;
-            o.firstToken = b.end;
-            o.completed = b.end;
+            o.dispatched = l.launched;
+            o.firstToken = l.end;
+            o.completed = l.end;
             o.batchSize = size;
-            o.retries = b.retries;
+            o.retries = l.retries;
             o.tokensEmitted = 1;
-            if (timeline_)
-                recordRequestSpan(b.model, o);
-            complete(std::move(o));
+            finishRequest(std::move(o));
             continue;
         }
         DecodeSeq seq;
         seq.request = r;
-        seq.dispatched = b.dispatched;
-        seq.firstToken = b.end;
-        seq.lastToken = b.end;
+        seq.dispatched = l.launched;
+        seq.firstToken = l.end;
+        seq.lastToken = l.end;
         seq.prefillBatchSize = size;
-        seq.retries = b.retries;
+        seq.retries = l.retries;
         seq.emitted = 1;
         seq.target = target;
-        decodeReady_[b.model].push_back(std::move(seq));
+        decodeReady_[l.model].push_back(std::move(seq));
     }
 }
 
@@ -1048,41 +994,39 @@ Scheduler::advanceDecode(Tick upto)
 {
     if (decoding_.empty())
         return;
-    // Deterministic retirement order across batches: (stepEnd,
+    // Deterministic retirement order across batches: (step end,
     // tenant), matching the one-shot completion sort.
     std::vector<DecodeBatch *> due;
     for (DecodeBatch &b : decoding_) {
-        if (b.inStep && b.stepEnd <= upto)
+        if (b.step && b.step->due() <= upto)
             due.push_back(&b);
     }
     std::sort(due.begin(), due.end(),
               [](const DecodeBatch *a, const DecodeBatch *b) {
-                  if (a->stepEnd != b->stepEnd)
-                      return a->stepEnd < b->stepEnd;
+                  if (a->step->end != b->step->end)
+                      return a->step->end < b->step->end;
                   return a->tenant < b->tenant;
               });
     for (DecodeBatch *bp : due) {
         DecodeBatch &b = *bp;
-        b.inStep = false;
+        Launch &step = *b.step;
+        step.retired = true;
+        b.step = nullptr;
         ++genLog_.decodeSteps;
-        if (b.stepPoisoned) {
+        if (step.poisoned) {
             // The decode loop does not retry poisoned steps: the KV
             // state behind them is suspect, so every rider fails
             // together at the step end.
             for (DecodeSeq &seq : b.seqs) {
                 kv_->release(seq.request.id);
-                RequestOutcome o;
-                o.request = seq.request;
-                o.state = TerminalState::Faulted;
-                o.dropReason = DropReason::Failed;
-                o.device = static_cast<int>(deviceId_);
+                RequestOutcome o =
+                    dropped(seq.request, step.end, DropReason::Failed);
                 o.dispatched = seq.dispatched;
                 o.firstToken = seq.firstToken;
-                o.completed = b.stepEnd;
                 o.batchSize = seq.prefillBatchSize;
                 o.retries = seq.retries;
                 o.tokensEmitted = seq.emitted;
-                dropOutcome(std::move(o));
+                finishRequest(std::move(o));
             }
             b.seqs.clear();
         } else {
@@ -1092,8 +1036,8 @@ Scheduler::advanceDecode(Tick upto)
                 ++seq.emitted;
                 ++genLog_.tokens;
                 genLog_.itlMs.push_back(
-                    ticksToMilliSeconds(b.stepEnd - seq.lastToken));
-                seq.lastToken = b.stepEnd;
+                    ticksToMilliSeconds(step.end - seq.lastToken));
+                seq.lastToken = step.end;
                 kv_->grow(seq.request.id,
                           seq.request.gen.promptLen + seq.emitted);
                 if (seq.emitted >= seq.target) {
@@ -1106,13 +1050,11 @@ Scheduler::advanceDecode(Tick upto)
                     o.device = static_cast<int>(deviceId_);
                     o.dispatched = seq.dispatched;
                     o.firstToken = seq.firstToken;
-                    o.completed = b.stepEnd;
+                    o.completed = step.end;
                     o.batchSize = seq.prefillBatchSize;
                     o.retries = seq.retries;
                     o.tokensEmitted = seq.emitted;
-                    if (timeline_)
-                        recordRequestSpan(b.model, o);
-                    complete(std::move(o));
+                    finishRequest(std::move(o));
                 } else {
                     live.push_back(std::move(seq));
                 }
@@ -1120,7 +1062,7 @@ Scheduler::advanceDecode(Tick upto)
             b.seqs = std::move(live);
         }
         if (b.seqs.empty()) {
-            manager_.release(b.tenant, b.stepEnd);
+            manager_.release(b.tenant, step.end);
             b.tenant = -1; // marks the batch retired
         }
     }
@@ -1150,7 +1092,7 @@ Scheduler::launchOneShots(Tick now)
     while (launched) {
         launched = false;
         for (const std::string &model : queue_.models()) {
-            while (shouldLaunch(model, now) &&
+            while (shouldLaunch(queue_, model, now) &&
                    manager_.freeGroups() >= config_.groupsPerBatch) {
                 auto lease = manager_.allocate(
                     nextTenant_, config_.groupsPerBatch, now);
@@ -1160,26 +1102,15 @@ Scheduler::launchOneShots(Tick now)
                     model, config_.batching.maxBatchFor(model));
                 const CachedPlan &p = plan(
                     model, static_cast<unsigned>(reqs.size()));
-                ActiveBatch batch;
-                batch.end = kNever;
-                batch.floor = saturatingAddTicks(now, p.floor);
-                batch.ticket = submitLaunch(
-                    nullptr,
-                    [this, &plan = p.plan, sampled = sampledRiders(reqs),
-                     groups = lease->groups, now,
-                     retries = degrade.maxBatchRetries,
-                     model]() mutable {
-                        return executeBatch(plan, std::move(sampled),
-                                            groups, now, retries, false,
-                                            model, "batch");
+                Launch &l = launch(
+                    LaunchKind::Batch, model, now,
+                    saturatingAddTicks(now, p.floor), sampledRiders(reqs),
+                    [this, &plan = p.plan, groups = lease->groups,
+                     retries = degrade.maxBatchRetries](Launch &l) {
+                        executeBatch(l, plan, groups, retries);
                     });
-                batch.dispatched = now;
-                batch.tenant = nextTenant_;
-                batch.model = model;
-                batch.requests = std::move(reqs);
-                active_.push_back(std::move(batch));
-                ++nextTenant_;
-                ++batches_;
+                l.tenant = nextTenant_++;
+                l.requests = std::move(reqs);
                 launched = true;
             }
         }
@@ -1201,7 +1132,7 @@ Scheduler::launchGeneration(Tick now)
     //    by tenant, i.e. formation order.
     std::vector<DecodeBatch *> idle;
     for (DecodeBatch &b : decoding_) {
-        if (!b.inStep)
+        if (!b.step)
             idle.push_back(&b);
     }
     std::sort(idle.begin(), idle.end(),
@@ -1279,7 +1210,7 @@ Scheduler::launchGeneration(Tick now)
     while (launched) {
         launched = false;
         for (const std::string &model : genQueue_.models()) {
-            while (shouldLaunchGen(model, now) &&
+            while (shouldLaunch(genQueue_, model, now) &&
                    manager_.freeGroups() >= config_.groupsPerBatch) {
                 const Request *head = genQueue_.front(model);
                 if (!head)
@@ -1317,31 +1248,19 @@ Scheduler::launchGeneration(Tick now)
                 const unsigned prompt = bucketLen(max_prompt);
                 const CachedPlan &p = prefillPlan(model, size, prompt);
                 ++genLog_.prefillBatches;
-                ActiveBatch batch;
-                batch.end = kNever;
-                batch.floor = launchFloor(model, now, p.floor);
-                batch.ticket = submitLaunch(
-                    &genLog_.prefill,
-                    [this, &plan = p.plan, sampled = sampledRiders(reqs),
-                     groups = lease->groups, now,
-                     retries = degrade.maxBatchRetries, model, size,
-                     prompt]() mutable {
-                        BatchRun run = executeBatch(
-                            plan, std::move(sampled), groups, now,
-                            retries, true, model, "prefill");
-                        if (shardedDecoder(model))
-                            run.end = shardOverlay(model, now, run.end,
-                                                   size, prompt);
-                        return run;
+                Launch &l = launch(
+                    LaunchKind::Prefill, model, now,
+                    launchFloor(model, now, p.floor), sampledRiders(reqs),
+                    [this, &plan = p.plan, groups = lease->groups,
+                     retries = degrade.maxBatchRetries, size,
+                     prompt](Launch &l) {
+                        executeBatch(l, plan, groups, retries);
+                        if (shardedDecoder(l.model))
+                            l.end = shardOverlay(l.model, l.launched,
+                                                 l.end, size, prompt);
                     });
-                batch.dispatched = now;
-                batch.tenant = nextTenant_;
-                batch.model = model;
-                batch.requests = std::move(reqs);
-                batch.prefill = true;
-                active_.push_back(std::move(batch));
-                ++nextTenant_;
-                ++batches_;
+                l.tenant = nextTenant_++;
+                l.requests = std::move(reqs);
                 launched = true;
             }
         }
@@ -1363,43 +1282,37 @@ Scheduler::launchDecodeStep(DecodeBatch &b, Tick now)
     const CachedPlan &p =
         decodePlan(b.model, cost_batch, bucketLen(ctx));
     std::vector<Request> riders;
-    if (reqTracer_) {
-        riders.reserve(b.seqs.size());
+    if (std::any_of(b.seqs.begin(), b.seqs.end(),
+                    [this](const DecodeSeq &seq) {
+                        return sampled(seq.request);
+                    })) {
         for (const DecodeSeq &seq : b.seqs)
             riders.push_back(seq.request);
     }
-    ++batches_;
-    b.inStep = true;
-    b.stepPoisoned = false;
-    b.stepStart = now;
-    b.stepEnd = kNever;
-    b.stepFloor = launchFloor(b.model, now, p.floor);
     // Decode steps do not retry on poison (max_retries 0): the KV
     // state is already suspect after one poisoned pass.
-    b.ticket = submitLaunch(
-        &genLog_.decode,
-        [this, &plan = p.plan, sampled = sampledRiders(riders),
-         groups = b.groups, now, model = b.model, cost_batch,
-         live = b.seqs.size(), ctx]() mutable {
-            BatchRun run = executeBatch(plan, std::move(sampled), groups,
-                                        now, 0, true, model, "decode");
-            const Tick compute_end = run.end;
-            if (shardedDecoder(model))
-                run.end = shardOverlay(model, now, compute_end,
-                                       cost_batch, /*tokens=*/1);
+    b.step = &launch(
+        LaunchKind::Decode, b.model, now,
+        launchFloor(b.model, now, p.floor), std::move(riders),
+        [this, &plan = p.plan, groups = b.groups, cost_batch,
+         live = b.seqs.size(), ctx](Launch &l) {
+            executeBatch(l, plan, groups, 0);
+            const Tick compute_end = l.end;
+            if (shardedDecoder(l.model))
+                l.end = shardOverlay(l.model, l.launched, compute_end,
+                                     cost_batch, /*tokens=*/1);
             if (timeline_) {
                 Tracer &tracer = dtu_.tracer();
                 if (!decodeTrackMade_) {
                     decodeTrack_ = tracer.track("serve", "decode");
                     decodeTrackMade_ = true;
                 }
-                tracer.span(decodeTrack_, model, "decode-step", now,
-                            compute_end,
+                tracer.span(decodeTrack_, l.model, "decode-step",
+                            l.launched, compute_end,
                             {{"batch", static_cast<double>(cost_batch)},
                              {"live", static_cast<double>(live)},
                              {"ctx", static_cast<double>(ctx)}});
             }
-            return run;
         });
 }
 
@@ -1407,11 +1320,9 @@ Tick
 Scheduler::nextEvent(Tick now) const
 {
     Tick next = kNever;
-    for (const ActiveBatch &b : active_)
-        next = std::min(next, b.ticket.seq ? b.floor : b.end);
-    for (const DecodeBatch &b : decoding_) {
-        if (b.inStep)
-            next = std::min(next, b.ticket.seq ? b.stepFloor : b.stepEnd);
+    for (const Launch &l : launches_) {
+        if (!l.retired)
+            next = std::min(next, l.due());
     }
     for (const RequestQueue *queue : {&queue_, &genQueue_}) {
         for (const std::string &model : queue->models()) {
@@ -1454,8 +1365,8 @@ Scheduler::metricSample()
     // Retries are counted as launches are read, and a serial loop's
     // sample counts every launch so far: a chip that can retry reads
     // them all first. The other fields are the loop's own state.
-    if (faults_ && !pending_.empty())
-        readThrough(pending_.back().ticket.seq);
+    if (faults_)
+        readAll();
     obs::DeviceMetricSample d;
     d.device = deviceId_;
     d.queueDepth = queueDepth();
@@ -1485,7 +1396,7 @@ Scheduler::generationLog()
 }
 
 ServingReport
-Scheduler::finish(double offered_qps)
+Scheduler::finish(double offered_qps, bool attribute_energy)
 {
     drainChip();
     ServingReport report = summarize(
@@ -1494,7 +1405,7 @@ Scheduler::finish(double offered_qps)
         manager_.utilization(lastCompletion_), batchRetries_,
         faults_ ? faults_->log().size() - faultsBefore_ : 0,
         generationLog());
-    if (energyMon_) {
+    if (attribute_energy) {
         finalizeEnergy(report,
                        dtu_.energy().breakdown().minus(energyBefore_));
     }

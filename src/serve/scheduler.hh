@@ -43,6 +43,7 @@
 #include "obs/fleet_metrics.hh"
 #include "runtime/executor.hh"
 #include "serve/kv_cache.hh"
+#include "serve/observer.hh"
 #include "serve/placement.hh"
 #include "serve/report.hh"
 #include "serve/request.hh"
@@ -52,13 +53,6 @@
 
 namespace dtu
 {
-
-namespace obs
-{
-class SloMonitor;
-class RequestTracer;
-class EnergyMonitor;
-} // namespace obs
 
 namespace fabric
 {
@@ -213,9 +207,12 @@ class Scheduler
      * plans are pure functions of the DtuConfig, so sharing is a
      * host-side memoization only. Plans compile on the driving thread
      * only; lane tasks read entries, which are never erased or moved.
+     * @p observers is the fleet's observer list, notified in order
+     * (serve/observer.hh); both outlive the core.
      */
     Scheduler(Dtu &dtu, ResourceManager &manager, ServingConfig config,
-              PlanCache &plans, unsigned device);
+              PlanCache &plans, unsigned device,
+              const Observers &observers);
 
     /** Compiled-plan cache size (plans are memoized per model/batch). */
     std::size_t cachedPlans() const { return plans_.size(); }
@@ -224,53 +221,12 @@ class Scheduler
      * Run this core's chip-side work as lane @p lane of @p lanes (the
      * fleet's executor) instead of inline; nullptr returns to inline.
      * Switch only between runs with the old lanes idle: launches not
-     * yet read (left by a run a FatalError cut short) are dropped.
+     * yet read (left by a run a FatalError cut short) are never read.
      */
-    void
-    setLanes(LaneExecutor *lanes, unsigned lane)
-    {
-        lanes_ = lanes ? lanes : &inlineLanes_;
-        lane_ = lanes ? lane : 0;
-        pending_.clear();
-    }
+    void setLanes(LaneExecutor *lanes, unsigned lane);
 
     /** The chip this core schedules onto. */
     Dtu &chip() { return dtu_; }
-
-    /**
-     * Attach (or detach, with nullptr) a live SLO monitor. The
-     * scheduler feeds it every completion and drop as they happen and
-     * advances its windows with the event loop, so alert callbacks
-     * fire at the simulated time of the threshold crossing. Without a
-     * monitor the serving path is bit-for-bit unchanged.
-     */
-    void setSloMonitor(obs::SloMonitor *monitor) { sloMon_ = monitor; }
-
-    /**
-     * Attach (or detach, with nullptr) a request-lifecycle tracer. The
-     * scheduler reports admissions, batch executions, completions,
-     * drops, and weight loads under its fleet device index, and
-     * force-enables the chip timeline around batches carrying a
-     * sampled request so their operator spans exist for flow linking.
-     * Without a tracer the serving path is bit-for-bit unchanged.
-     */
-    void setRequestTracer(obs::RequestTracer *tracer)
-    {
-        reqTracer_ = tracer;
-    }
-
-    /**
-     * Attach (or detach, with nullptr) an energy monitor. finish()
-     * then attributes the run's energy by component
-     * (finalizeEnergy), metric samples carry power telemetry, and —
-     * when the monitor's corpus is enabled — every batch records its
-     * per-operator energy features. Without a monitor the serving
-     * path is bit-for-bit unchanged.
-     */
-    void setEnergyMonitor(obs::EnergyMonitor *monitor)
-    {
-        energyMon_ = monitor;
-    }
 
     /**
      * Attach (or detach, with nullptr) the fleet interconnect. This
@@ -354,15 +310,18 @@ class Scheduler
      */
     Tick nextEvent(Tick now) const;
 
-    /** Summarize the run (moves out the outcome log). */
-    ServingReport finish(double offered_qps);
+    /**
+     * Summarize the run (moves out the outcome log), attributing its
+     * energy by component when @p attribute_energy.
+     */
+    ServingReport finish(double offered_qps, bool attribute_energy);
 
     /** Queue empty and nothing in flight. */
     bool
     idle() const
     {
         return queue_.empty() && genQueue_.empty() &&
-               active_.empty() && decoding_.empty() &&
+               inFlightBatches() == 0 && decoding_.empty() &&
                decodeReadyCount() == 0;
     }
 
@@ -447,28 +406,6 @@ class Scheduler
     std::uint64_t weightLoadBytes() const { return weightLoadBytes_; }
 
   private:
-    /** One batch executing on a lease. */
-    struct ActiveBatch
-    {
-        /** Completion; maxTick until the launch's result is read. */
-        Tick end = 0;
-        /** The launch's floor: end is read no earlier. */
-        Tick floor = 0;
-        /** The launch's lane task; seq 0 once its result is read. */
-        LaneExecutor::Ticket ticket;
-        Tick dispatched = 0;
-        int tenant = -1;
-        std::string model;
-        std::vector<Request> requests;
-        /** Poisoned re-executions this batch needed. */
-        unsigned retries = 0;
-        /** Still poisoned after the last permitted retry. */
-        bool failed = false;
-        /** A generation prefill pass (riders enter decode, not
-         *  completion, when it retires). */
-        bool prefill = false;
-    };
-
     /** One generation sequence past prefill. */
     struct DecodeSeq
     {
@@ -490,8 +427,9 @@ class Scheduler
 
     /**
      * One decode batch stepping on a long-held lease. Between steps
-     * (inStep == false) it can absorb waiting sequences (continuous
+     * (step == nullptr) it can absorb waiting sequences (continuous
      * mode) or retire; each step emits one token per live sequence.
+     * The decode loop does not retry a poisoned step.
      */
     struct DecodeBatch
     {
@@ -499,51 +437,11 @@ class Scheduler
         std::string model;
         /** Size at formation: the static-mode padded cost size. */
         unsigned formed = 0;
-        bool inStep = false;
-        /** The in-flight step was poisoned (faults the decode loop
-         *  does not retry: its riders fail at the step end). */
-        bool stepPoisoned = false;
-        Tick stepStart = 0;
-        /** Step completion; maxTick until the step's result is read. */
-        Tick stepEnd = 0;
-        /** The step's floor and lane task (seq 0 once read). */
-        Tick stepFloor = 0;
-        LaneExecutor::Ticket ticket;
+        /** The in-flight step's launch record, or nullptr. */
+        Launch *step = nullptr;
         /** The lease's processing groups, held across steps. */
         std::vector<unsigned> groups;
         std::vector<DecodeSeq> seqs;
-    };
-
-    /** Outcome of one executor run on a lease (with retries). */
-    struct BatchRun
-    {
-        /** Completion, after the fabric overlay. */
-        Tick end = 0;
-        unsigned retries = 0;
-        bool poisoned = false;
-        ExecResult result;
-
-        //
-        // The observers' records, applied when the launch is read.
-        //
-        /** The riders when the request tracer samples one. */
-        std::vector<Request> sampled;
-        Tick launched = 0;
-        /** The riders' flow steps landed in a recording chip tracer. */
-        bool linked = false;
-        /** The energy-corpus labels; phase is null without a corpus. */
-        std::string model;
-        const char *phase = nullptr;
-    };
-
-    /** A launch whose result the driving thread has not read yet. */
-    struct PendingRun
-    {
-        LaneExecutor::Ticket ticket;
-        /** Phase its operator traces fold into, or nullptr. */
-        PhaseBreakdown *phase = nullptr;
-        /** Written by the lane task. */
-        BatchRun run;
     };
 
     /**
@@ -611,33 +509,30 @@ class Scheduler
     KvCache &ensureKv();
 
     /**
-     * Run @p p on @p groups at @p now with the poison-retry loop and
-     * the request tracer's chip-side flow steps: a launch's chip
-     * part, on the lane. @p sampled holds the riders when one is
-     * sampled by the request tracer (empty otherwise). @p record_ops
-     * forces per-operator traces (phase attribution). @p phase labels
-     * the execution for the energy corpus ("batch", "prefill",
-     * "decode"). The observers' records travel in the BatchRun to
-     * readThrough().
+     * Run @p p on @p groups as launch @p l with the poison-retry loop
+     * and the observers' chip-side flow links, filling the result
+     * fields: a launch's chip part, on the lane.
      */
-    BatchRun executeBatch(const ExecutionPlan &p,
-                          std::vector<Request> sampled,
-                          const std::vector<unsigned> &groups,
-                          Tick now, unsigned max_retries,
-                          bool record_ops, const std::string &model,
-                          const char *phase);
+    void executeBatch(Launch &l, const ExecutionPlan &p,
+                      const std::vector<unsigned> &groups,
+                      unsigned max_retries);
 
-    /** @p riders when the request tracer samples one, else empty. */
+    /** True when an observer samples request @p r. */
+    bool sampled(const Request &r) const;
+
+    /** @p riders when an observer samples one of them, else empty. */
     std::vector<Request>
     sampledRiders(const std::vector<Request> &riders) const;
 
     /**
-     * Queue @p chip (returning the launch's BatchRun) on the lane as
-     * a launch whose traces fold into @p phase.
+     * Record a @p kind launch of @p model at @p now with floor
+     * @p floor and the riders @p sampled copies, and queue
+     * @p chip(launch) on the lane.
      */
     template <typename ChipPart>
-    LaneExecutor::Ticket submitLaunch(PhaseBreakdown *phase,
-                                      ChipPart &&chip);
+    Launch &launch(LaunchKind kind, const std::string &model, Tick now,
+                   Tick floor, std::vector<Request> sampled,
+                   ChipPart &&chip);
 
     /** Queue a chip-side side effect with no result on the lane. */
     void onChip(std::function<void()> fn);
@@ -650,9 +545,12 @@ class Scheduler
 
     /**
      * Read launches in launch order through lane seq @p seq, and hand
-     * their records to the request tracer and the energy corpus.
+     * their records to the observers.
      */
     void readThrough(std::uint64_t seq);
+
+    /** Read every launch queued so far. */
+    void readAll();
 
     /** Finish every lane task and read every launch. */
     void drainChip();
@@ -661,21 +559,16 @@ class Scheduler
     static void accumulatePhase(PhaseBreakdown &phase,
                                 const ExecResult &result);
 
-    /** Queue the per-request timeline span of terminal @p c. */
-    void recordRequestSpan(const std::string &model,
-                           const RequestOutcome &c);
+    /** Record one terminal outcome, a completion or a drop (stats,
+     *  timeline, observers). */
+    void finishRequest(RequestOutcome outcome);
 
-    /** Record one completion (stats, timeline, tracer, SLO monitor). */
-    void complete(RequestOutcome outcome);
+    /** @p r's outcome when dropped for @p reason at @p at. */
+    RequestOutcome dropped(const Request &r, Tick at,
+                           DropReason reason) const;
 
-    /** Record one dropped request (stats, tracer, SLO monitor). */
-    void drop(const Request &request, Tick at, DropReason reason);
-
-    /** drop() with execution context (failed batches). */
-    void dropOutcome(RequestOutcome outcome);
-
-    /** Retire one finished prefill batch into the decode stage. */
-    void retirePrefill(const ActiveBatch &batch);
+    /** Retire prefill launch @p l's riders into the decode stage. */
+    void retirePrefill(const Launch &l);
 
     /** Retire decode steps that ended at or before @p upto. */
     void advanceDecode(Tick upto);
@@ -692,11 +585,9 @@ class Scheduler
     /** Shed expired deadlines / enforce queue timeouts at @p now. */
     void dropExpired(Tick now);
 
-    /** Launch rule for @p model at @p now. */
-    bool shouldLaunch(const std::string &model, Tick now) const;
-
-    /** Launch rule for queued prefills of @p model at @p now. */
-    bool shouldLaunchGen(const std::string &model, Tick now) const;
+    /** Launch rule for @p model's batches queued in @p queue. */
+    bool shouldLaunch(const RequestQueue &queue,
+                      const std::string &model, Tick now) const;
 
     /** Not-yet-admitted arrivals of @p model (0 without a map). */
     unsigned futureCount(const std::string &model) const;
@@ -729,13 +620,8 @@ class Scheduler
     Stat &failedStat_;
     Stat &retryStat_;
 
-    /** Optional live SLO monitor (not owned). */
-    obs::SloMonitor *sloMon_ = nullptr;
-
-    /** Optional request-lifecycle tracer (not owned). */
-    obs::RequestTracer *reqTracer_ = nullptr;
-    /** Optional energy monitor (not owned). */
-    obs::EnergyMonitor *energyMon_ = nullptr;
+    /** The fleet's observers, notified in order (not owned). */
+    const Observers &observers_;
     /** Optional fleet interconnect (not owned; see setSharding). */
     fabric::Fabric *fabric_ = nullptr;
     /** The placement group this scheduler drives over the fabric. */
@@ -752,10 +638,10 @@ class Scheduler
      *  KV-gated, and keeping them out of queue_ leaves the one-shot
      *  path untouched. */
     RequestQueue genQueue_;
-    std::vector<ActiveBatch> active_;
-    /** Launches not yet read, in launch order. A lane task writes its
-     *  entry in place (deque elements never move). */
-    std::deque<PendingRun> pending_;
+    /** Launches whose batch or step has not retired, in launch order
+     *  (retired ones until every earlier one retired). A lane task
+     *  writes its record in place: deque elements never move. */
+    std::deque<Launch> launches_;
     /** Decode batches holding leases across steps. */
     std::vector<DecodeBatch> decoding_;
     /** Sequences past prefill awaiting a decode slot, per model. */

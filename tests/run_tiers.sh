@@ -35,7 +35,7 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 # Suites covering the lane executor, fleet path, event queue and the
 # observers on the lanes (tier 4).
-tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor|EnergyMonitorTest|FlightRecorder|RequestTrace|SloMonitor|Prometheus|PrometheusEnergy|GoldenEnergyReport)\.'
+tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor|EnergyMonitorTest|FlightRecorder|RequestTrace|SloMonitor|Prometheus|PrometheusEnergy|GoldenEnergyReport|GoldenFabric|FleetMetrics|EnergyAttribution|RequestSampling|FabricObservability|FaultHooksTest|ServingObserver)\.'
 
 echo "== tier 1: fast tests =="
 cmake -B build -S . >/dev/null

@@ -300,8 +300,8 @@ TEST(SloMonitorGuards, BurnRateStaysFiniteAtExtremeTargets)
     missed.request.arrival = 0;
     missed.request.deadline = 1;
     missed.completed = w / 2;
-    mon.recordCompletion(missed);
-    mon.finish(w);
+    mon.onTerminal(0, missed);
+    mon.endRun(w);
     ASSERT_EQ(mon.windows().size(), 1u);
     EXPECT_TRUE(std::isfinite(mon.windows()[0].burnRate));
     EXPECT_GT(mon.windows()[0].burnRate, 0.0);

@@ -19,6 +19,7 @@
 #include "json_test_util.hh"
 #include "serve/arrival.hh"
 #include "serve/fleet.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -458,6 +459,265 @@ TEST(FleetTest, MisconfiguredFleetIsFatal)
     FleetConfig config;
     config.devices = 2; // but only one member provided
     EXPECT_THROW(Fleet({{&chip, &rm}}, config), FatalError);
+}
+
+//
+// The observer seam: one ServingObserver list, notified in order.
+//
+
+/**
+ * Records every fleet-thread hook as one line, counts terminal hooks
+ * per request and keeps each device's batch-hook lane seqs. Samples
+ * are applied once their chip readings are in, wherever the loop is
+ * then, so annotate() and recordMetrics() go to a log of their own.
+ * The lane-side hooks (linkBatch, read) touch no shared state.
+ */
+class CountingObserver : public ServingObserver
+{
+  public:
+    std::vector<std::string> log;
+    std::vector<std::string> applied;
+    std::map<std::uint64_t, unsigned> terminals;
+    std::map<unsigned, std::vector<std::uint64_t>> batchSeqs;
+
+    void beginRun(Tick at) override { note("begin", at); }
+    void advanceTo(Tick now) override { note("tick", now); }
+    void endRun(Tick at) override { note("end", at); }
+    void
+    onRoute(unsigned device, const Request &r) override
+    {
+        note("route", r.id, device);
+    }
+    void
+    onAdmit(unsigned device, const Request &r) override
+    {
+        note("admit", r.id, device);
+    }
+    void
+    onWeightLoad(unsigned device, const std::string &model, Tick start,
+                 Tick end, std::uint64_t bytes) override
+    {
+        note("load " + model, device, start, end, bytes);
+    }
+    void
+    onTerminal(unsigned device, const RequestOutcome &o) override
+    {
+        ++terminals[o.request.id];
+        note(o.outcomeName(), o.request.id, device, o.completed);
+    }
+    bool sampled(std::uint64_t id) const override { return id % 3 == 0; }
+    bool
+    linkBatch(Tracer &, const std::vector<Request> &, Tick) const override
+    {
+        return true;
+    }
+    void
+    onBatchExecuted(unsigned device, const Launch &l) override
+    {
+        batchSeqs[device].push_back(l.ticket.seq);
+        note(std::string(launchKindName(l.kind)) + " " + l.model, device,
+             l.ticket.seq, l.launched, l.end, l.retries, l.poisoned,
+             l.sampled.size(), l.linked, l.result.trace.size());
+    }
+    std::optional<Tick>
+    samplePeriod() const override
+    {
+        return secondsToTicks(100e-6);
+    }
+    void
+    recordCounters(const obs::FleetMetricSample &s) override
+    {
+        note("counters", s.at, s.devices.size());
+    }
+    bool watches(unsigned device) const override { return device == 1; }
+    obs::ChipReading
+    read(unsigned device) override
+    {
+        obs::ChipReading r;
+        r.device = device;
+        return r;
+    }
+    void
+    annotate(obs::FleetMetricSample &s,
+             const std::vector<obs::ChipReading> &readings) override
+    {
+        // Only device 1's chip is watched.
+        EXPECT_EQ(readings.size(), 1u);
+        for (const obs::ChipReading &r : readings)
+            EXPECT_EQ(r.device, 1u);
+        note(applied, "annotate", s.at);
+    }
+    void
+    recordMetrics(const obs::FleetMetricSample &s) override
+    {
+        note(applied, "metrics", s.at);
+    }
+
+  private:
+    template <typename... Args>
+    void
+    note(std::vector<std::string> &to, const std::string &what,
+         const Args &...args)
+    {
+        std::ostringstream os;
+        os << what;
+        ((os << ' ' << args), ...);
+        to.push_back(os.str());
+    }
+
+    template <typename... Args>
+    void
+    note(const std::string &what, const Args &...args)
+    {
+        note(log, what, args...);
+    }
+};
+
+/**
+ * A 2-device fleet mixing ResNet50 and gpt_tiny generation, with
+ * poisoned-batch retries and ECC faults whose injector has no
+ * listener (so the fleet serves on lanes), observed by @p obs.
+ */
+FleetReport
+observedMixedServe(unsigned threads, CountingObserver &obs)
+{
+    FleetConfig config;
+    config.devices = 2;
+    config.routing = RoutingPolicy::LeastOutstanding;
+    config.threads = threads;
+    config.serving = fleetServingConfig();
+    config.serving.degradation.maxBatchRetries = 2;
+    config.serving.generation.maxDecodeBatch = 4;
+    FleetServer fleet(config);
+    for (unsigned i = 0; i < fleet.size(); ++i) {
+        FaultConfig f;
+        f.seed = 31 + i;
+        f.eccCorrectablePerGiB = 60.0;
+        f.eccUncorrectablePerGiB = 40.0;
+        fleet.device(i).installFaults(f);
+    }
+    fleet.fleet().setObservers({&obs});
+    fleet.submit(poissonTrace("resnet50", 8000.0, 32, 11));
+    const Tick gap = secondsToTicks(1.0 / 4000.0);
+    for (unsigned i = 0; i < 12; ++i) {
+        RequestSpec spec;
+        spec.model = "gpt_tiny";
+        spec.arrival = gap * i;
+        spec.gen.promptLen = 16 + 8 * (i % 3);
+        spec.gen.maxNewTokens = 3 + i % 4;
+        fleet.submit(spec);
+    }
+    return fleet.serveFleet();
+}
+
+TEST(ServingObserver, HooksFireOncePerRequestAndLaunchAtAnyThreadCount)
+{
+    CountingObserver base;
+    const FleetReport report = observedMixedServe(1, base);
+    EXPECT_GT(report.fleet.batchRetries, 0u);
+
+    // Every submitted request reaches the terminal hook exactly once.
+    ASSERT_EQ(report.fleet.submitted, 44u);
+    ASSERT_EQ(base.terminals.size(), report.fleet.submitted);
+    for (const auto &[id, count] : base.terminals)
+        EXPECT_EQ(count, 1u) << "request " << id;
+    for (const RequestOutcome &o : report.fleet.outcomes)
+        EXPECT_EQ(base.terminals.count(o.request.id), 1u);
+
+    // The batch hook fires once per report batch, in strictly
+    // increasing lane seq per device.
+    ASSERT_EQ(report.perDevice.size(), 2u);
+    for (const DeviceReport &dev : report.perDevice) {
+        const std::vector<std::uint64_t> &seqs =
+            base.batchSeqs[dev.device];
+        EXPECT_EQ(seqs.size(), dev.report.batches);
+        for (std::size_t i = 1; i < seqs.size(); ++i)
+            EXPECT_LT(seqs[i - 1], seqs[i]) << "device " << dev.device;
+    }
+    EXPECT_GT(report.fleet.generation.decodeSteps, 0u);
+
+    // Every sample reads device 1's chip and is applied once.
+    EXPECT_FALSE(base.applied.empty());
+    EXPECT_EQ(base.applied.size(),
+              2 * static_cast<std::size_t>(std::count_if(
+                      base.log.begin(), base.log.end(),
+                      [](const std::string &line) {
+                          return line.rfind("counters ", 0) == 0;
+                      })));
+
+    // The recorded hook sequences do not depend on the thread count.
+    for (unsigned threads : {2u, 4u}) {
+        CountingObserver other;
+        observedMixedServe(threads, other);
+        for (const auto &[mine, theirs] :
+             {std::pair{&base.log, &other.log},
+              std::pair{&base.applied, &other.applied}}) {
+            ASSERT_EQ(theirs->size(), mine->size())
+                << "threads=" << threads;
+            for (std::size_t i = 0; i < mine->size(); ++i)
+                ASSERT_EQ((*theirs)[i], (*mine)[i])
+                    << "threads=" << threads << ", hook " << i;
+        }
+    }
+}
+
+/**
+ * The SLO JSON, the fleet trace, the energy report and the flight
+ * dump of a 2-device fleet whose SLO burn alert fires mid-run, with
+ * the observers enabled in the order @p tracer_first selects.
+ */
+std::vector<std::string>
+enableOrderArtifacts(bool tracer_first)
+{
+    FleetConfig config;
+    config.devices = 2;
+    config.routing = RoutingPolicy::LeastOutstanding;
+    config.threads = 2;
+    config.serving = fleetServingConfig(8);
+    config.serving.exec.powerManagement = true;
+    FleetServer fleet(config);
+    const obs::SloConfig slo{.window = secondsToTicks(1e-3),
+                             .sloTarget = 0.999,
+                             .burnRateAlert = 2.0};
+    const obs::RequestTraceConfig tracing{.sampleRate = 0.5, .seed = 7};
+    const obs::EnergyMonitorConfig energy{.corpus = true};
+    if (tracer_first) {
+        fleet.enableRequestTracing(tracing);
+        fleet.enableSloMonitor(slo);
+        fleet.enableEnergyMonitor(energy);
+    } else {
+        fleet.enableSloMonitor(slo);
+        fleet.enableEnergyMonitor(energy);
+        fleet.enableRequestTracing(tracing);
+    }
+    const obs::FlightRecorder &rec = fleet.enableFlightRecorder({});
+    fleet.submit(finalizeTrace(
+        {poissonTrace("resnet50", 12000.0, 48, 5, secondsToTicks(3e-3)),
+         poissonTrace("bert_large", 4000.0, 16, 6,
+                      secondsToTicks(10e-3))}));
+    fleet.serveFleet();
+
+    std::vector<std::string> out;
+    std::ostringstream slo_json, trace, energy_json;
+    fleet.sloMonitor()->writeJson(slo_json);
+    fleet.exportFleetTrace(trace);
+    fleet.energyMonitor()->writeJson(energy_json);
+    out.push_back(slo_json.str());
+    out.push_back(trace.str());
+    out.push_back(energy_json.str());
+    out.push_back(rec.lastDump());
+    return out;
+}
+
+TEST(ServingObserver, ArtifactsDoNotDependOnTheEnableOrder)
+{
+    const std::vector<std::string> a = enableOrderArtifacts(true);
+    const std::vector<std::string> b = enableOrderArtifacts(false);
+    ASSERT_FALSE(a.back().empty()) << "the SLO burn alert never dumped";
+    const char *names[] = {"SLO JSON", "fleet trace", "energy report",
+                           "flight dump"};
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(a[i] == b[i]) << names[i] << " differs";
 }
 
 } // namespace

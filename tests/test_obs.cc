@@ -508,14 +508,14 @@ TEST(SloMonitor, WindowsPercentilesAndBurnRate)
 
     // First window: 10 completions, latencies 1..10 ms, 2 late.
     for (int i = 1; i <= 10; ++i) {
-        mon.recordCompletion(completion(
+        mon.onTerminal(0, completion(
             static_cast<Tick>(i) * (w / 16), static_cast<double>(i),
             /*missed=*/i > 8));
     }
     serve::RequestOutcome drop;
     drop.state = serve::TerminalState::Shed;
     drop.completed = w / 2;
-    mon.recordDrop(drop);
+    mon.onTerminal(0, drop);
 
     // Nothing closes until simulated time passes the window end.
     mon.advanceTo(w - 1);
@@ -549,10 +549,10 @@ TEST(SloMonitor, EmptyWindowsAreSkippedAndBoundariesAreHalfOpen)
     obs::SloMonitor mon({.window = w, .sloTarget = 0.99});
 
     // An event at exactly t = w belongs to the second window.
-    mon.recordCompletion(completion(w, 0.001, false));
+    mon.onTerminal(0, completion(w, 0.001, false));
     // An event in the fourth window; windows 1 and 3 stay empty.
-    mon.recordCompletion(completion(3 * w + 1, 0.001, false));
-    mon.finish(4 * w);
+    mon.onTerminal(0, completion(3 * w + 1, 0.001, false));
+    mon.endRun(4 * w);
 
     ASSERT_EQ(mon.windows().size(), 2u);
     EXPECT_EQ(mon.windows()[0].start, w);
@@ -572,8 +572,8 @@ TEST(SloMonitor, AlertsFireLiveThroughTheCallback)
 
     // p99 of 10 ms > 5 ms, and 1 miss of 2 over a 10% budget burns
     // at 5x > 2x: both alerts fire from one window.
-    mon.recordCompletion(completion(10, 10.0, /*missed=*/true));
-    mon.recordCompletion(completion(20, 1.0, false));
+    mon.onTerminal(0, completion(10, 10.0, /*missed=*/true));
+    mon.onTerminal(0, completion(20, 1.0, false));
     mon.advanceTo(w);
 
     ASSERT_EQ(seen.size(), 2u);
@@ -590,8 +590,8 @@ TEST(SloMonitor, ExportsParse)
 {
     const Tick w = 1000;
     obs::SloMonitor mon({.window = w, .sloTarget = 0.99});
-    mon.recordCompletion(completion(10, 2.0, false));
-    mon.finish(w);
+    mon.onTerminal(0, completion(10, 2.0, false));
+    mon.endRun(w);
 
     std::ostringstream js;
     mon.writeJson(js);
@@ -692,17 +692,17 @@ TEST(SloMonitor, AlertsRearmPerOffendingWindow)
     std::vector<obs::SloAlert> seen;
     mon.onAlert([&](const obs::SloAlert &a) { seen.push_back(a); });
 
-    mon.recordCompletion(completion(10, 1.0, /*missed=*/true));
+    mon.onTerminal(0, completion(10, 1.0, /*missed=*/true));
     mon.advanceTo(w);
     ASSERT_EQ(seen.size(), 1u);
 
     // A healthy window in between fires nothing...
-    mon.recordCompletion(completion(w + 10, 1.0, false));
+    mon.onTerminal(0, completion(w + 10, 1.0, false));
     mon.advanceTo(2 * w);
     ASSERT_EQ(seen.size(), 1u);
 
     // ...and the next offending window alerts again.
-    mon.recordCompletion(completion(2 * w + 10, 1.0, /*missed=*/true));
+    mon.onTerminal(0, completion(2 * w + 10, 1.0, /*missed=*/true));
     mon.advanceTo(3 * w);
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[1].at, 3 * w);
@@ -724,7 +724,7 @@ TEST(SloMonitor, ListenersStackAfterThePrimaryCallback)
         order.push_back("second:" + a.kind);
     });
 
-    mon.recordCompletion(completion(10, 1.0, /*missed=*/true));
+    mon.onTerminal(0, completion(10, 1.0, /*missed=*/true));
     mon.advanceTo(w);
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], "primary");
