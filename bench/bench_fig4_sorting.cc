@@ -98,10 +98,9 @@ main()
     std::printf("\n");
 
     // Cycle comparison on the simulated core.
-    EventQueue queue;
-    ClockDomain clock(queue, 1.3e9);
+    ClockDomain clock(1.3e9);
     CoreConfig config;
-    ComputeCore core("bench.core", queue, nullptr, clock, config);
+    ComputeCore core("bench.core", nullptr, clock, config);
     RunResult vmm = sortOnCore(core, input);
     RunResult scalar = scalarSortOnCore(core, input);
     std::printf("\n  matrix-engine sort: %llu cycles\n",

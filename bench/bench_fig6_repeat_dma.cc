@@ -22,13 +22,13 @@ namespace
 
 struct Rig
 {
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
-    ClockDomain clock{queue, 1.0e9};
-    Hbm hbm{"hbm", queue, &stats, 16_GiB, 819e9, 8, 120'000};
-    Sram l2{"l2", queue, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 15'000,
+    ClockDomain clock{1.0e9};
+    Hbm hbm{"hbm", watermark, &stats, 16_GiB, 819e9, 8, 120'000};
+    Sram l2{"l2", watermark, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 15'000,
             20'000, 333e9};
-    Sram l1{"l1", queue, &stats, MemLevel::L1, 1_MiB, 1, 166e9, 2'000};
+    Sram l1{"l1", watermark, &stats, MemLevel::L1, 1_MiB, 1, 166e9, 2'000};
     std::unique_ptr<DmaEngine> dma;
 
     Rig()
@@ -38,7 +38,7 @@ struct Rig
         fabric.localL2 = &l2;
         fabric.clusterL2 = {&l2};
         fabric.coreL1 = {&l1};
-        dma = std::make_unique<DmaEngine>("dma", queue, &stats, clock,
+        dma = std::make_unique<DmaEngine>("dma", watermark, &stats, clock,
                                           fabric, DmaFeatures{});
     }
 };
@@ -54,7 +54,7 @@ slicedTransfer(unsigned slices, std::uint64_t slice_bytes, bool repeat)
     desc.repeatCount = slices;
     desc.repeatStride = slice_bytes * 4; // strided out of a big tensor
     desc.repeatMode = repeat;
-    return rig.dma->submit(desc).done;
+    return rig.dma->submitAt(0, desc).done;
 }
 
 } // namespace

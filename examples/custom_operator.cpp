@@ -58,11 +58,10 @@ scaledResidualGelu(unsigned vectors, bool conflicting)
 int
 main()
 {
-    EventQueue queue;
     StatRegistry stats;
-    ClockDomain clock(queue, 1.3e9);
+    ClockDomain clock(1.3e9);
     CoreConfig config;
-    ComputeCore core("example.core", queue, &stats, clock, config);
+    ComputeCore core("example.core", &stats, clock, config);
 
     // Input tiles in L1: a at word 0, b at word 4096, out at 8192.
     constexpr unsigned vectors = 64; // 64 x 16 = 1024 elements

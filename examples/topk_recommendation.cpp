@@ -41,10 +41,9 @@ main()
 
     // Score candidates with the matrix engine: each VMM computes 16
     // dot products (user x 16 item columns) in one operation.
-    EventQueue queue;
-    ClockDomain clock(queue, 1.3e9);
+    ClockDomain clock(1.3e9);
     CoreConfig config;
-    ComputeCore core("rec.core", queue, nullptr, clock, config);
+    ComputeCore core("rec.core", nullptr, clock, config);
     RegisterFile &regs = core.regs();
     MatrixEngine engine(false);
 

@@ -23,7 +23,7 @@
  * Streams: streams keep their leases, the batcher works in whatever
  * capacity remains. A served chip's timeline only moves forward:
  * stream work issued after a serve, from an earlier cursor, waits for
- * the point the serve reached (EventQueue::ledgerWatermark()).
+ * the point the serve reached (Dtu::ledgerWatermark()).
  */
 
 #ifndef DTU_API_SERVER_HH

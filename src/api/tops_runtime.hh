@@ -63,8 +63,7 @@ class DeviceBuffer
  * A recorded point on a stream's timeline — the cudaEvent analogue
  * in simulated time. Record one on a stream, then make another
  * stream wait() on it (cross-stream ordering) or query() it against
- * a simulated timestamp without blocking. (Named StreamEvent to stay
- * clear of the sim kernel's scheduling Event.)
+ * a simulated timestamp without blocking.
  */
 class StreamEvent
 {

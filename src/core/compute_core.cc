@@ -16,11 +16,11 @@ constexpr int dmaCompletionSemBase = 1000;
 
 } // namespace
 
-ComputeCore::ComputeCore(std::string name, EventQueue &queue,
-                         StatRegistry *stats, ClockDomain &clock,
-                         CoreConfig config, InstructionCache *icache,
-                         SyncEngine *sync, DmaEngine *dma)
-    : SimObject(std::move(name), queue, stats), clock_(clock),
+ComputeCore::ComputeCore(std::string name, StatRegistry *stats,
+                         ClockDomain &clock, CoreConfig config,
+                         InstructionCache *icache, SyncEngine *sync,
+                         DmaEngine *dma)
+    : SimObject(std::move(name), stats), clock_(clock),
       config_(config), matrix_(!config.dtu2), icache_(icache),
       sync_(sync), dma_(dma)
 {

@@ -81,8 +81,8 @@ struct RunResult
 class ComputeCore : public SimObject
 {
   public:
-    ComputeCore(std::string name, EventQueue &queue, StatRegistry *stats,
-                ClockDomain &clock, CoreConfig config,
+    ComputeCore(std::string name, StatRegistry *stats, ClockDomain &clock,
+                CoreConfig config,
                 InstructionCache *icache = nullptr,
                 SyncEngine *sync = nullptr, DmaEngine *dma = nullptr);
 

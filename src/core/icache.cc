@@ -8,10 +8,10 @@
 namespace dtu
 {
 
-InstructionCache::InstructionCache(std::string name, EventQueue &queue,
-                                   StatRegistry *stats, Hbm &hbm,
-                                   std::uint64_t capacity, bool cache_mode)
-    : SimObject(std::move(name), queue, stats), hbm_(hbm),
+InstructionCache::InstructionCache(std::string name, StatRegistry *stats,
+                                   Hbm &hbm, std::uint64_t capacity,
+                                   bool cache_mode)
+    : SimObject(std::move(name), stats), hbm_(hbm),
       capacity_(capacity), cacheMode_(cache_mode)
 {
     if (stats) {

@@ -35,9 +35,8 @@ class InstructionCache : public SimObject
      * @param capacity instruction buffer bytes.
      * @param cache_mode retain kernels across launches (DTU 2.0).
      */
-    InstructionCache(std::string name, EventQueue &queue,
-                     StatRegistry *stats, Hbm &hbm, std::uint64_t capacity,
-                     bool cache_mode);
+    InstructionCache(std::string name, StatRegistry *stats, Hbm &hbm,
+                     std::uint64_t capacity, bool cache_mode);
 
     /**
      * Ensure kernel @p kernel_id of @p bytes is resident, starting at

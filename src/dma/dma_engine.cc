@@ -39,19 +39,19 @@ transformRateFactor(TransformKind kind)
     return 1.0;
 }
 
-DmaEngine::DmaEngine(std::string name, EventQueue &queue,
+DmaEngine::DmaEngine(std::string name, const Tick &watermark,
                      StatRegistry *stats, ClockDomain &clock,
                      DmaFabric fabric, DmaFeatures features,
                      unsigned datapath_bytes_per_cycle,
                      unsigned config_cycles)
-    : SimObject(std::move(name), queue, stats), clock_(clock),
+    : SimObject(std::move(name), stats), clock_(clock),
       fabric_(std::move(fabric)), features_(features),
       configCycles_(config_cycles)
 {
     double bytes_per_second =
         static_cast<double>(datapath_bytes_per_cycle) * clock.frequency();
     pipe_ = std::make_unique<BandwidthResource>(
-        childName("pipe"), queue, stats, bytes_per_second);
+        childName("pipe"), watermark, stats, bytes_per_second);
     if (stats) {
         transactions_.init(*stats, childName("transactions"),
                            "DMA transactions completed");
@@ -124,12 +124,6 @@ DmaEngine::endpointSeries(MemLevel level, Addr addr, std::uint64_t stride,
         return seriesDone_.back();
     }
     panic("unreachable DMA endpoint");
-}
-
-DmaResult
-DmaEngine::submit(const DmaDescriptor &desc)
-{
-    return submitAt(curTick(), desc);
 }
 
 DmaResult
@@ -236,7 +230,7 @@ DmaEngine::submitOnce(Tick at, const DmaDescriptor &desc)
     const unsigned n = desc.repeatCount;
     starts_.resize(n);
     seriesDone_.resize(n);
-    Tick t = std::max(at, curTick());
+    Tick t = at;
     Tick engine_done = t;
     for (unsigned i = 0; i < n; ++i) {
         if (i == 0 || !use_repeat) {
@@ -295,8 +289,7 @@ DmaEngine::submitOnce(Tick at, const DmaDescriptor &desc)
             label += " ";
             label += transformName(desc.transform);
         }
-        tr->span(tr->trackFor(name()), label, "dma",
-                 std::max(at, curTick()), result.done,
+        tr->span(tr->trackFor(name()), label, "dma", at, result.done,
                  {{"bytes", static_cast<double>(desc.bytes *
                                                desc.repeatCount)},
                   {"src_bytes", static_cast<double>(result.srcBytes)},

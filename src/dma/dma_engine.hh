@@ -78,6 +78,7 @@ class DmaEngine : public SimObject
 {
   public:
     /**
+     * @param watermark the ledger watermark the datapath books behind.
      * @param clock engine clock domain (configuration overhead is
      *        measured in engine cycles).
      * @param fabric reachable memory endpoints.
@@ -85,7 +86,7 @@ class DmaEngine : public SimObject
      * @param datapath_bytes_per_cycle internal pipe width.
      * @param config_cycles cycles per descriptor configuration.
      */
-    DmaEngine(std::string name, EventQueue &queue, StatRegistry *stats,
+    DmaEngine(std::string name, const Tick &watermark, StatRegistry *stats,
               ClockDomain &clock, DmaFabric fabric, DmaFeatures features,
               unsigned datapath_bytes_per_cycle = 512,
               unsigned config_cycles = 128);
@@ -101,10 +102,7 @@ class DmaEngine : public SimObject
         fabric_.clusterL2 = std::move(slices);
     }
 
-    /** Submit a request at the current tick. */
-    DmaResult submit(const DmaDescriptor &desc);
-
-    /** Submit a request that enters the engine no earlier than @p at. */
+    /** Submit a request that enters the engine at @p at. */
     DmaResult submitAt(Tick at, const DmaDescriptor &desc);
 
     /** Tick at which the engine datapath next idles. */

@@ -86,8 +86,8 @@ struct FabricConfig
 /**
  * One interconnect link: a CapacityLedger plus per-link stats.
  *
- * Same fair-sharing ledger as BandwidthResource, but with no
- * SimObject/EventQueue dependency, because fabric links are
+ * Same fair-sharing ledger as BandwidthResource, but not a
+ * SimObject and with a watermark of its own, because fabric links are
  * fleet-level resources that outlive any single device timeline.
  * All completion arithmetic saturates at maxTick instead of wrapping.
  */

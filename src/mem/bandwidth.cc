@@ -7,11 +7,12 @@
 namespace dtu
 {
 
-BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
+BandwidthResource::BandwidthResource(std::string name,
+                                     const Tick &watermark,
                                      StatRegistry *stats,
                                      double bytes_per_second,
                                      Tick access_latency)
-    : SimObject(std::move(name), queue, stats),
+    : SimObject(std::move(name), stats), watermark_(watermark),
       own_(std::in_place, bytes_per_second), ledger_(&*own_), lane_(0),
       accessLatency_(access_latency)
 {
@@ -20,12 +21,13 @@ BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
     initStats();
 }
 
-BandwidthResource::BandwidthResource(std::string name, EventQueue &queue,
+BandwidthResource::BandwidthResource(std::string name,
+                                     const Tick &watermark,
                                      StatRegistry *stats,
                                      CapacityLedger &ledger, unsigned lane,
                                      Tick access_latency)
-    : SimObject(std::move(name), queue, stats), ledger_(&ledger),
-      lane_(lane), accessLatency_(access_latency)
+    : SimObject(std::move(name), stats), watermark_(watermark),
+      ledger_(&ledger), lane_(lane), accessLatency_(access_latency)
 {
     initStats();
 }
@@ -51,12 +53,6 @@ BandwidthResource::serviceTime(std::uint64_t bytes) const
 }
 
 Tick
-BandwidthResource::transfer(std::uint64_t bytes)
-{
-    return transferAt(curTick(), bytes);
-}
-
-Tick
 BandwidthResource::transferAt(Tick at, std::uint64_t bytes)
 {
     Tick done = 0;
@@ -70,10 +66,7 @@ BandwidthResource::transferSeries(const Tick *starts, std::size_t n,
 {
     if (n == 0)
         return;
-    panicIf(starts[0] < curTick(), "transfer in the past on '", name(),
-            "'");
-    ledger_->bookSeries(starts, n, bytes, eventQueue().ledgerWatermark(),
-                        done, lane_);
+    ledger_->bookSeries(starts, n, bytes, watermark_, done, lane_);
     const Tick service = serviceTime(bytes);
     for (std::size_t i = 0; i < n; ++i)
         done[i] = settle(starts[i], bytes, service, done[i]);
@@ -94,7 +87,8 @@ BandwidthResource::settle(Tick start, std::uint64_t bytes, Tick service,
     return completion;
 }
 
-BandwidthLanes::BandwidthLanes(const std::string &prefix, EventQueue &queue,
+BandwidthLanes::BandwidthLanes(const std::string &prefix,
+                               const Tick &watermark,
                                StatRegistry *stats, unsigned lanes,
                                double bytes_per_second, Tick access_latency)
     : ledger_(bytes_per_second, lanes)
@@ -104,7 +98,7 @@ BandwidthLanes::BandwidthLanes(const std::string &prefix, EventQueue &queue,
     lanes_.reserve(lanes);
     for (unsigned i = 0; i < lanes; ++i)
         lanes_.push_back(std::make_unique<BandwidthResource>(
-            prefix + std::to_string(i), queue, stats, ledger_, i,
+            prefix + std::to_string(i), watermark, stats, ledger_, i,
             access_latency));
 }
 
@@ -114,10 +108,7 @@ BandwidthLanes::transferSeries(const Tick *starts, std::size_t n,
 {
     if (n == 0)
         return;
-    const BandwidthResource &head = *lanes_[0];
-    panicIf(starts[0] < head.curTick(), "transfer in the past on '",
-            head.name(), "'");
-    const Tick watermark = head.eventQueue().ledgerWatermark();
+    const Tick watermark = lanes_[0]->watermark_;
     // Per-lane service times and one transfer's lane completions.
     Tick service[CapacityLedger::kMaxLanes];
     Tick lane_done[CapacityLedger::kMaxLanes];

@@ -39,39 +39,32 @@ class BandwidthResource : public SimObject
   public:
     /**
      * @param name hierarchical name.
-     * @param queue event queue (provides current time).
+     * @param watermark the ledger watermark this pipe books behind
+     *        (see Dtu::ledgerWatermark); it outlives this pipe.
      * @param stats stat registry (may be null).
      * @param bytes_per_second sustained bandwidth.
      * @param access_latency fixed pipeline latency added to every
      *        request (ticks).
      */
-    BandwidthResource(std::string name, EventQueue &queue,
+    BandwidthResource(std::string name, const Tick &watermark,
                       StatRegistry *stats, double bytes_per_second,
                       Tick access_latency = 0);
 
     /** Lane @p lane of @p ledger, which outlives this pipe. */
-    BandwidthResource(std::string name, EventQueue &queue,
+    BandwidthResource(std::string name, const Tick &watermark,
                       StatRegistry *stats, CapacityLedger &ledger,
                       unsigned lane, Tick access_latency = 0);
 
     /**
-     * Occupy the pipe for @p bytes starting no earlier than now.
+     * Occupy the pipe for @p bytes, entering its queue at @p at.
      * @return the tick at which the last byte has been delivered.
-     */
-    Tick transfer(std::uint64_t bytes);
-
-    /**
-     * Like transfer() but the request enters the queue at @p at
-     * (>= now) rather than at the current tick — used when an engine
-     * computes a future phase without advancing global time.
      */
     Tick transferAt(Tick at, std::uint64_t bytes);
 
     /**
      * @p n transfers of @p bytes each, entering the queue at the
-     * non-decreasing @p starts (each >= now), booked in order exactly
-     * as n transferAt() calls would be; writes each completion to
-     * @p done.
+     * non-decreasing @p starts, booked in order exactly as n
+     * transferAt() calls would be; writes each completion to @p done.
      */
     void transferSeries(const Tick *starts, std::size_t n,
                         std::uint64_t bytes, Tick *done);
@@ -110,6 +103,8 @@ class BandwidthResource : public SimObject
      */
     Tick settle(Tick start, std::uint64_t bytes, Tick service, Tick done);
 
+    /** The chip's ledger watermark (see Dtu::ledgerWatermark). */
+    const Tick &watermark_;
     /** The ledger of a stand-alone pipe. */
     std::optional<CapacityLedger> own_;
     CapacityLedger *ledger_;
@@ -130,8 +125,11 @@ class BandwidthResource : public SimObject
 class BandwidthLanes
 {
   public:
-    /** Lanes named @p prefix + index, each of @p bytes_per_second. */
-    BandwidthLanes(const std::string &prefix, EventQueue &queue,
+    /**
+     * Lanes named @p prefix + index, each of @p bytes_per_second,
+     * booking behind @p watermark.
+     */
+    BandwidthLanes(const std::string &prefix, const Tick &watermark,
                    StatRegistry *stats, unsigned lanes,
                    double bytes_per_second, Tick access_latency);
 
@@ -148,11 +146,11 @@ class BandwidthLanes
     }
 
     /**
-     * @p n striped transfers at the non-decreasing @p starts (each
-     * >= now), each moving @p bytes[l] through lane l (none for 0),
-     * booked in order exactly as a transferAt() per lane and transfer
-     * would be. Writes to @p done[i] the later of starts[i] and the
-     * i-th transfer's last lane completion.
+     * @p n striped transfers at the non-decreasing @p starts, each
+     * moving @p bytes[l] through lane l (none for 0), booked in order
+     * exactly as a transferAt() per lane and transfer would be. Writes
+     * to @p done[i] the later of starts[i] and the i-th transfer's
+     * last lane completion.
      */
     void transferSeries(const Tick *starts, std::size_t n,
                         const std::uint64_t *bytes, Tick *done);

@@ -8,12 +8,12 @@
 namespace dtu
 {
 
-Hbm::Hbm(std::string name, EventQueue &queue, StatRegistry *stats,
+Hbm::Hbm(std::string name, const Tick &watermark, StatRegistry *stats,
          std::uint64_t capacity, double total_bytes_per_second,
          unsigned channels, Tick access_latency)
-    : SimObject(std::move(name), queue, stats), capacity_(capacity),
+    : SimObject(std::move(name), stats), capacity_(capacity),
       totalBandwidth_(total_bytes_per_second),
-      channels_(childName("ch"), queue, stats, channels,
+      channels_(childName("ch"), watermark, stats, channels,
                 total_bytes_per_second / channels, access_latency),
       channelBytes_(channels)
 {}
@@ -45,12 +45,6 @@ Hbm::accessAt(Tick at, Addr addr, std::uint64_t bytes)
         done = saturatingAddTicks(done,
                                   faults_->eccAccess(done, name(), bytes));
     return done;
-}
-
-Tick
-Hbm::access(Addr addr, std::uint64_t bytes)
-{
-    return accessAt(curTick(), addr, bytes);
 }
 
 double

@@ -30,12 +30,13 @@ class Hbm : public SimObject
 {
   public:
     /**
+     * @param watermark the ledger watermark the channels book behind.
      * @param capacity total bytes (16 GiB on both DTU generations).
      * @param total_bytes_per_second aggregate bandwidth.
      * @param channels number of pseudo-channels.
      * @param access_latency fixed DRAM access latency per request.
      */
-    Hbm(std::string name, EventQueue &queue, StatRegistry *stats,
+    Hbm(std::string name, const Tick &watermark, StatRegistry *stats,
         std::uint64_t capacity, double total_bytes_per_second,
         unsigned channels, Tick access_latency);
 
@@ -49,9 +50,6 @@ class Hbm : public SimObject
      * channels; the completion time is when the slowest stripe lands.
      */
     Tick accessAt(Tick at, Addr addr, std::uint64_t bytes);
-
-    /** Convenience: accessAt(now, ...). */
-    Tick access(Addr addr, std::uint64_t bytes);
 
     /** Aggregate bytes moved. */
     double totalBytes() const;

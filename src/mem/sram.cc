@@ -5,18 +5,18 @@
 namespace dtu
 {
 
-Sram::Sram(std::string name, EventQueue &queue, StatRegistry *stats,
+Sram::Sram(std::string name, const Tick &watermark, StatRegistry *stats,
            MemLevel level, std::uint64_t capacity, unsigned ports,
            double port_bytes_per_second, Tick access_latency,
            Tick remote_penalty, double dma_port_bytes_per_second)
-    : SimObject(std::move(name), queue, stats), level_(level),
+    : SimObject(std::move(name), stats), level_(level),
       capacity_(capacity), remotePenalty_(remote_penalty),
-      ports_(childName("port"), queue, stats, ports,
+      ports_(childName("port"), watermark, stats, ports,
              port_bytes_per_second, access_latency)
 {
     if (dma_port_bytes_per_second > 0.0) {
         dmaPort_ = std::make_unique<BandwidthResource>(
-            childName("dma_port"), queue, stats,
+            childName("dma_port"), watermark, stats,
             dma_port_bytes_per_second, access_latency);
     }
     if (stats) {
@@ -25,12 +25,6 @@ Sram::Sram(std::string name, EventQueue &queue, StatRegistry *stats,
         localAccesses_.init(*stats, childName("local_accesses"),
                             "accesses through the affine port");
     }
-}
-
-Tick
-Sram::access(unsigned port, unsigned affine_port, std::uint64_t bytes)
-{
-    return accessAt(curTick(), port, affine_port, bytes);
 }
 
 Tick

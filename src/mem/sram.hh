@@ -31,6 +31,7 @@ class Sram : public SimObject
 {
   public:
     /**
+     * @param watermark the ledger watermark the ports book behind.
      * @param capacity total bytes.
      * @param ports number of parallel read/write ports.
      * @param port_bytes_per_second bandwidth of each port.
@@ -38,7 +39,7 @@ class Sram : public SimObject
      * @param remote_penalty extra latency when a requester uses a
      *        port other than its affine one (crossbar hop).
      */
-    Sram(std::string name, EventQueue &queue, StatRegistry *stats,
+    Sram(std::string name, const Tick &watermark, StatRegistry *stats,
          MemLevel level, std::uint64_t capacity, unsigned ports,
          double port_bytes_per_second, Tick access_latency,
          Tick remote_penalty = 0, double dma_port_bytes_per_second = 0.0);
@@ -48,13 +49,10 @@ class Sram : public SimObject
     unsigned numPorts() const { return ports_.size(); }
 
     /**
-     * Access @p bytes through @p port on behalf of a requester whose
-     * affine port is @p affine_port.
+     * Access @p bytes through @p port, starting at @p at, on behalf of
+     * a requester whose affine port is @p affine_port.
      * @return completion tick.
      */
-    Tick access(unsigned port, unsigned affine_port, std::uint64_t bytes);
-
-    /** Access starting at a future tick @p at. */
     Tick accessAt(Tick at, unsigned port, unsigned affine_port,
                   std::uint64_t bytes);
 

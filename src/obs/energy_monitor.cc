@@ -7,6 +7,7 @@
 #include "obs/flight_recorder.hh"
 #include "obs/prometheus.hh"
 #include "runtime/executor.hh"
+#include "serve/report.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "soc/dtu.hh"
@@ -212,17 +213,10 @@ EnergyMonitor::onBatchExecuted(unsigned device,
         row.macs = op.macs;
         row.bytes = op.bytes;
         row.intensity = safeRatio(op.macs, op.bytes);
-        // The same top-down attribution accumulatePhase() uses, kept
-        // per operator instead of folded per phase.
-        const double compute = static_cast<double>(op.computeTicks);
-        const double act_dma = static_cast<double>(
-            std::max(op.dmaInTicks, op.dmaOutTicks));
-        row.issueTicks = compute;
-        row.dmaTicks = static_cast<double>(op.weightStallTicks) +
-                       static_cast<double>(op.unhiddenTicks) +
-                       std::max(0.0, act_dma - compute);
-        row.otherTicks = static_cast<double>(op.launchTicks) +
-                         static_cast<double>(op.kernelStallTicks);
+        const serve::OpTickMix mix = serve::opTickMix(op);
+        row.issueTicks = mix.issue;
+        row.dmaTicks = mix.dma;
+        row.otherTicks = mix.other;
         row.frequencyGhz = op.frequencyGHz;
         row.throttle = op.throttle;
         row.energy = op.energy;

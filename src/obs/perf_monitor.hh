@@ -8,9 +8,8 @@
  * time series at a fixed period of simulated time.
  *
  * dtusim's executor computes completion times analytically on
- * capacity ledgers rather than by draining the event queue, so the
- * sampler cannot be a literal periodic Event: nothing would ever
- * fire it. Instead the monitor samples *lazily*: the executor (and
+ * capacity ledgers, so there is no event queue to fire a periodic
+ * sampler. Instead the monitor samples *lazily*: the executor (and
  * any other driver) calls sampleUpTo(now) at its natural progress
  * points, and the monitor emits one sample per elapsed period
  * boundary, stamped at the exact boundary tick. Between boundaries

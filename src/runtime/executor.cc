@@ -200,6 +200,25 @@ Executor::run(const ExecutionPlan &plan, Tick start)
         return done;
     };
 
+    // Activation tiles of @p op moving @p per_group bytes per group:
+    // one transaction per tile per core, the engine replaying the same
+    // strided slice into or out of each core's L1 (Fig. 6).
+    auto tiled_desc = [&](const PlannedOp &op, std::uint64_t per_group) {
+        DmaDescriptor desc;
+        desc.dtype = plan.dtype;
+        desc.repeatCount = std::max(1u, op.tiles) * config.coresPerGroup;
+        desc.repeatMode = options_.useRepeat &&
+                          config.dmaFeatures.repeatMode &&
+                          (op.repeatEligible || desc.repeatCount >= 3);
+        desc.bytes = per_group / desc.repeatCount;
+        desc.repeatStride = desc.bytes;
+        if (desc.bytes == 0) {
+            desc.bytes = per_group;
+            desc.repeatCount = 1;
+        }
+        return desc;
+    };
+
     // Host transfers: the input sample crosses PCIe into L3 before
     // anything can start (outputs download at the end).
     if (options_.hostTransfers && !plan.ops.empty() &&
@@ -263,25 +282,10 @@ Executor::run(const ExecutionPlan &plan, Tick start)
         std::uint64_t in_per_group =
             op.inputBytes / std::max(1u, ngroups);
         if (in_per_group > 0) {
-            DmaDescriptor desc;
+            DmaDescriptor desc = tiled_desc(op, in_per_group);
             desc.src = input_in_l2 ? MemLevel::L2 : MemLevel::L3;
             desc.dst = MemLevel::L1;
-            desc.dtype = plan.dtype;
             desc.transform = op.loadTransform;
-            // One transaction per tile per core: the engine replays
-            // the same strided slice into each core's L1 (Fig. 6).
-            desc.repeatCount =
-                std::max(1u, op.tiles) * config.coresPerGroup;
-            desc.repeatMode = options_.useRepeat && config.dmaFeatures
-                                  .repeatMode &&
-                              (op.repeatEligible ||
-                               desc.repeatCount >= 3);
-            desc.bytes = in_per_group / desc.repeatCount;
-            desc.repeatStride = desc.bytes;
-            if (desc.bytes == 0) {
-                desc.bytes = in_per_group;
-                desc.repeatCount = 1;
-            }
             double density = std::min(op.inputDensity, upstream_density);
             if (!input_in_l2 && options_.useSparse &&
                 config.dmaFeatures.sparseDecompress && density < 0.75) {
@@ -316,22 +320,9 @@ Executor::run(const ExecutionPlan &plan, Tick start)
         std::uint64_t out_per_group =
             op.outputBytes / std::max(1u, ngroups);
         if (out_per_group > 0) {
-            DmaDescriptor desc;
+            DmaDescriptor desc = tiled_desc(op, out_per_group);
             desc.src = MemLevel::L1;
             desc.dst = output_fits_l2 ? MemLevel::L2 : MemLevel::L3;
-            desc.dtype = plan.dtype;
-            desc.repeatCount =
-                std::max(1u, op.tiles) * config.coresPerGroup;
-            desc.repeatMode = options_.useRepeat && config.dmaFeatures
-                                  .repeatMode &&
-                              (op.repeatEligible ||
-                               desc.repeatCount >= 3);
-            desc.bytes = out_per_group / desc.repeatCount;
-            desc.repeatStride = desc.bytes;
-            if (desc.bytes == 0) {
-                desc.bytes = out_per_group;
-                desc.repeatCount = 1;
-            }
             for (unsigned gid : groups_) {
                 DmaResult r =
                     dtu_.group(gid).dma().submitAt(code_ready, desc);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "power/power_event.hh"
+#include "runtime/executor.hh"
 #include "sim/json.hh"
 
 namespace dtu
@@ -20,6 +21,22 @@ dropReasonName(DropReason reason)
       case DropReason::Failed: return "failed";
     }
     return "?";
+}
+
+OpTickMix
+opTickMix(const OpTrace &op)
+{
+    const double compute = static_cast<double>(op.computeTicks);
+    const double act_dma =
+        static_cast<double>(std::max(op.dmaInTicks, op.dmaOutTicks));
+    OpTickMix mix;
+    mix.issue = compute;
+    mix.dma = static_cast<double>(op.weightStallTicks) +
+              static_cast<double>(op.unhiddenTicks) +
+              std::max(0.0, act_dma - compute);
+    mix.other = static_cast<double>(op.launchTicks) +
+                static_cast<double>(op.kernelStallTicks);
+    return mix;
 }
 
 const char *

@@ -25,9 +25,27 @@ namespace dtu
 {
 
 class JsonWriter;
+struct OpTrace;
 
 namespace serve
 {
+
+/** One operator's window split into PhaseBreakdown's categories. */
+struct OpTickMix
+{
+    double issue = 0.0;
+    double dma = 0.0;
+    double other = 0.0;
+};
+
+/**
+ * The top-down split of @p op's window: issue = compute, dma =
+ * weight-stream stalls, DMA the pipeline could not hide, and
+ * activation DMA overhanging the compute it was double-buffered
+ * against, other = launch and kernel-load stalls. Phase breakdowns
+ * and the energy corpus both use it.
+ */
+OpTickMix opTickMix(const OpTrace &op);
 
 /**
  * Where one generation phase's simulated time went, summed over the

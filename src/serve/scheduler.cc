@@ -20,6 +20,13 @@ namespace
 
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
+/**
+ * Tenant ids the scheduler leases under, kept far above the
+ * Device/Stream id space so a Server can share the manager with live
+ * streams.
+ */
+constexpr int kTenantBase = 1 << 20;
+
 } // namespace
 
 const char *
@@ -230,7 +237,7 @@ Scheduler::begin(Tick start, const std::map<std::string, unsigned> *future)
     // replaying from tick 0) would wait for the watermark at every
     // transfer: it starts on idle ledgers instead, as the fleet's
     // fabric does every serve. Earlier stream bookings are dropped too.
-    if (start < dtu_.eventQueue().ledgerWatermark())
+    if (start < dtu_.ledgerWatermark())
         dtu_.restartLedgers();
     future_ = future;
     queue_ = RequestQueue();
@@ -245,7 +252,7 @@ Scheduler::begin(Tick start, const std::map<std::string, unsigned> *future)
     genLog_ = GenerationLog();
     batches_ = 0;
     batchRetries_ = 0;
-    nextTenant_ = config_.tenantBase;
+    nextTenant_ = kTenantBase;
     lastCompletion_ = 0;
     peakQueue_ = 0;
     joulesBefore_ = dtu_.energy().joules();
@@ -744,7 +751,7 @@ Scheduler::executeBatch(Launch &l, const ExecutionPlan &p,
     // on starts at or after the launch tick. Raised here, on the
     // lane, rather than at settle: a raise ahead of a queued earlier
     // launch would clamp its bookings.
-    dtu_.eventQueue().raiseLedgerWatermark(l.launched);
+    dtu_.raiseLedgerWatermark(l.launched);
     if (fabric_)
         fabric_->raiseGroupWatermark(fabricGroup_, l.launched);
     // A batch carrying a sampled request records its chip-side
@@ -797,19 +804,10 @@ Scheduler::accumulatePhase(PhaseBreakdown &phase,
                            const ExecResult &result)
 {
     for (const OpTrace &op : result.trace) {
-        const double compute = static_cast<double>(op.computeTicks);
-        const double act_dma = static_cast<double>(
-            std::max(op.dmaInTicks, op.dmaOutTicks));
-        phase.issueTicks += compute;
-        // Memory time: weight-stream stalls, DMA the pipeline could
-        // not hide, and activation DMA overhanging the compute it
-        // was double-buffered against.
-        phase.dmaTicks += static_cast<double>(op.weightStallTicks) +
-                          static_cast<double>(op.unhiddenTicks) +
-                          std::max(0.0, act_dma - compute);
-        phase.otherTicks +=
-            static_cast<double>(op.launchTicks) +
-            static_cast<double>(op.kernelStallTicks);
+        const OpTickMix mix = opTickMix(op);
+        phase.issueTicks += mix.issue;
+        phase.dmaTicks += mix.dma;
+        phase.otherTicks += mix.other;
         phase.macs += op.macs;
         phase.bytes += op.bytes;
         phase.energy.add(op.energy);

@@ -177,12 +177,6 @@ struct ServingConfig
      * stream, which overlapping batches do not form.
      */
     ExecOptions exec{.powerManagement = false};
-    /**
-     * Tenant ids the scheduler leases under, kept far above the
-     * Device/Stream id space so a Server can share the manager with
-     * live streams.
-     */
-    int tenantBase = 1 << 20;
 };
 
 /** A compiled plan and its latency floor on a serving lease. */

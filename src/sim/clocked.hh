@@ -4,37 +4,26 @@
  *
  * DTU 2.0's power management dynamically scales compute-core
  * frequency between 1.0 and 1.4 GHz (Section IV-F of the paper), so
- * the clock abstraction must support changing the period mid-run
- * while keeping cycle accounting consistent. A ClockDomain anchors
- * its cycle counter whenever the frequency changes; cycle<->tick
- * conversion is exact from the last anchor.
+ * the clock abstraction must support changing the period mid-run.
+ * Engines convert cycle counts to ticks at the current period when
+ * they book work, so a change applies to every later booking.
  */
 
 #ifndef DTU_SIM_CLOCKED_HH
 #define DTU_SIM_CLOCKED_HH
 
-#include <string>
-
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace dtu
 {
 
-/** A frequency source shared by one or more ClockedObjects. */
+/** A frequency source shared by one or more engines. */
 class ClockDomain
 {
   public:
-    /**
-     * @param queue event queue providing the current tick.
-     * @param frequency_hz initial frequency in Hz.
-     */
-    ClockDomain(EventQueue &queue, double frequency_hz)
-        : queue_(queue)
-    {
-        setFrequency(frequency_hz);
-    }
+    /** @param frequency_hz initial frequency in Hz. */
+    explicit ClockDomain(double frequency_hz) { setFrequency(frequency_hz); }
 
     /** Current frequency in Hz. */
     double frequency() const { return frequencyFromPeriod(period_); }
@@ -42,63 +31,20 @@ class ClockDomain
     /** Current clock period in ticks. */
     Tick period() const { return period_; }
 
-    /**
-     * Change the domain frequency, effective at the current tick.
-     * Cycle numbering continues monotonically across the change.
-     */
+    /** Change the domain frequency for every later conversion. */
     void
     setFrequency(double frequency_hz)
     {
         fatalIf(frequency_hz <= 0.0,
                 "clock frequency must be positive, got ", frequency_hz);
-        anchorCycle_ = cyclesAt(queue_.now());
-        anchorTick_ = queue_.now();
         period_ = periodFromFrequency(frequency_hz);
-    }
-
-    /** The cycle count of this domain at absolute tick @p t (t >= anchor). */
-    Cycles
-    cyclesAt(Tick t) const
-    {
-        if (period_ == 0 || t < anchorTick_)
-            return anchorCycle_;
-        return anchorCycle_ + (t - anchorTick_) / period_;
-    }
-
-    /** Current cycle count. */
-    Cycles curCycle() const { return cyclesAt(queue_.now()); }
-
-    /**
-     * The tick at which cycle @p c begins (c must be >= the anchor cycle).
-     */
-    Tick
-    cycleToTick(Cycles c) const
-    {
-        panicIf(c < anchorCycle_, "cycleToTick before frequency anchor");
-        return anchorTick_ + (c - anchorCycle_) * period_;
-    }
-
-    /**
-     * The first tick at or after now() that lies on a cycle boundary.
-     * Engines use this to align event scheduling to clock edges.
-     */
-    Tick
-    nextEdge() const
-    {
-        Tick now = queue_.now();
-        Tick since = now - anchorTick_;
-        Tick rem = since % period_;
-        return rem == 0 ? now : now + (period_ - rem);
     }
 
     /** Ticks consumed by @p n cycles at the current frequency. */
     Tick ticksFor(Cycles n) const { return n * period_; }
 
   private:
-    EventQueue &queue_;
     Tick period_ = 0;
-    Tick anchorTick_ = 0;
-    Cycles anchorCycle_ = 0;
 };
 
 } // namespace dtu

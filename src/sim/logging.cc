@@ -5,8 +5,6 @@
 #include <iostream>
 #include <optional>
 
-#include "sim/event_queue.hh"
-
 namespace dtu
 {
 
@@ -14,10 +12,9 @@ namespace
 {
 
 bool gLoggingEnabled = false;
-// Per-thread log sinks: in a parallel fleet any thread may run any
+// Per-thread device id: in a parallel fleet any thread may run any
 // device's lane task, and its warn()/inform() prefixes must follow the
-// device it is stepping, not whatever another thread last registered.
-thread_local const EventQueue *gLogClock = nullptr;
+// device it is stepping, not whatever another thread last set.
 thread_local int gLogDevice = -1;
 
 /** Parse DTU_LOG once; nullopt when unset or unrecognized. */
@@ -41,7 +38,7 @@ envOverride()
     return parsed;
 }
 
-/** "[WARN][t=1234ps] " style prefix for one severity. */
+/** "[WARN][dev3] " style prefix for one severity. */
 std::string
 prefix(const char *severity)
 {
@@ -52,11 +49,6 @@ prefix(const char *severity)
         p += "[dev";
         p += std::to_string(gLogDevice);
         p += "]";
-    }
-    if (gLogClock) {
-        p += "[t=";
-        p += std::to_string(gLogClock->now());
-        p += "ps]";
     }
     p += " ";
     return p;
@@ -74,18 +66,6 @@ void
 setLoggingEnabled(bool enabled)
 {
     gLoggingEnabled = enabled;
-}
-
-void
-setLogClock(const EventQueue *queue)
-{
-    gLogClock = queue;
-}
-
-const EventQueue *
-logClock()
-{
-    return gLogClock;
 }
 
 void

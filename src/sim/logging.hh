@@ -89,8 +89,6 @@ fatal(const Args &...args)
     throw FatalError("fatal: " + csprintf(args...));
 }
 
-class EventQueue;
-
 /**
  * True when warn()/inform() output is enabled (off during tests).
  *
@@ -105,22 +103,9 @@ bool loggingEnabled();
 void setLoggingEnabled(bool enabled);
 
 /**
- * Register the event queue whose now() timestamps log messages.
- * Pass nullptr to unregister. Each EventQueue registers itself on
- * construction (last one constructed wins — with several coexisting
- * simulations, timestamps follow the most recent chip). The
- * registration is per thread, so parallel fleet workers each stamp
- * log lines with their own device's clock.
- */
-void setLogClock(const EventQueue *queue);
-
-/** The currently registered log clock (may be null). */
-const EventQueue *logClock();
-
-/**
  * Set the fleet device id stamped into log prefixes, or -1 to clear
  * it. While set, warn()/inform() lines read
- * "[WARN][dev3][t=1234ps] ..." so interleaved multi-device output
+ * "[WARN][dev3] ..." so interleaved multi-device output
  * stays attributable. Prefer ScopedLogDevice over calling this
  * directly.
  */
@@ -153,9 +138,8 @@ class ScopedLogDevice
 
 /**
  * Print a warning about possibly-incorrect behaviour, prefixed with
- * severity and, when a log clock is registered, the simulated time:
- * "[WARN][t=1234ps] ..." (with "[dev<N>]" after the severity when a
- * fleet device context is set, see ScopedLogDevice).
+ * its severity: "[WARN] ..." (with "[dev<N>]" after the severity when
+ * a fleet device context is set, see ScopedLogDevice).
  */
 void warn(const std::string &msg);
 

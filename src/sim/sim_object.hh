@@ -14,27 +14,23 @@
 #include <string>
 #include <string_view>
 
-#include "sim/event_queue.hh"
-
 namespace dtu
 {
 
 class StatRegistry;
 class Tracer;
 
-/** A named component attached to an event queue and a stat registry. */
+/** A named component attached to a stat registry. */
 class SimObject
 {
   public:
     /**
      * @param name fully qualified hierarchical name.
-     * @param queue event queue driving this object.
      * @param stats registry this object's statistics register with
      *              (may be null for stat-less helpers).
      */
-    SimObject(std::string name, EventQueue &queue,
-              StatRegistry *stats = nullptr)
-        : name_(std::move(name)), queue_(queue), stats_(stats)
+    explicit SimObject(std::string name, StatRegistry *stats = nullptr)
+        : name_(std::move(name)), stats_(stats)
     {}
 
     SimObject(const SimObject &) = delete;
@@ -57,12 +53,6 @@ class SimObject
         return child;
     }
 
-    /** The event queue this object schedules on. */
-    EventQueue &eventQueue() const { return queue_; }
-
-    /** Current simulated time. */
-    Tick curTick() const { return queue_.now(); }
-
     /** The stat registry, or null. */
     StatRegistry *statRegistry() const { return stats_; }
 
@@ -72,7 +62,6 @@ class SimObject
 
   private:
     std::string name_;
-    EventQueue &queue_;
     StatRegistry *stats_;
     Tracer *tracer_ = nullptr;
 };

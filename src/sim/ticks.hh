@@ -1,10 +1,10 @@
 /**
  * @file
- * Fundamental time types for the dtusim event-driven kernel.
+ * Fundamental time types for dtusim.
  *
  * A Tick is one picosecond of simulated time. All engines in the
  * simulator (compute cores, DMA engines, HBM channels, power
- * management) schedule events on a shared picosecond timeline, which
+ * management) book their work on a shared picosecond timeline, which
  * lets clock domains with different and dynamically changing
  * frequencies (DVFS) interleave exactly.
  */

@@ -6,18 +6,18 @@
 namespace dtu
 {
 
-Cluster::Cluster(std::string name, EventQueue &queue, StatRegistry *stats,
-                 const DtuConfig &config, unsigned cluster_id,
-                 ClockDomain &core_clock, ClockDomain &dma_clock, Hbm &hbm,
-                 BandwidthResource *pcie)
-    : SimObject(std::move(name), queue, stats), coreClock_(core_clock)
+Cluster::Cluster(std::string name, const Tick &watermark,
+                 StatRegistry *stats, const DtuConfig &config,
+                 unsigned cluster_id, ClockDomain &core_clock,
+                 ClockDomain &dma_clock, Hbm &hbm, BandwidthResource *pcie)
+    : SimObject(std::move(name), stats), coreClock_(core_clock)
 {
     groups_.reserve(config.groupsPerCluster);
     for (unsigned g = 0; g < config.groupsPerCluster; ++g) {
         unsigned gid = cluster_id * config.groupsPerCluster + g;
         groups_.push_back(std::make_unique<ProcessingGroup>(
-            childName("pg" + std::to_string(g)), queue, stats, config, gid,
-            core_clock, dma_clock, hbm, pcie));
+            childName("pg" + std::to_string(g)), watermark, stats, config,
+            gid, core_clock, dma_clock, hbm, pcie));
     }
     // Broadcast fan-out: every group's DMA engine can write all L2
     // slices of this cluster at once.
@@ -32,13 +32,14 @@ Cluster::Cluster(std::string name, EventQueue &queue, StatRegistry *stats,
 Dtu::Dtu(const DtuConfig &config)
     : config_(config), energy_(config.power)
 {
-    hbm_ = std::make_unique<Hbm>(config.name + ".hbm", queue_, &stats_,
-                                 config.l3Bytes, config.l3BytesPerSecond,
-                                 config.l3Channels, config.l3LatencyTicks);
+    hbm_ = std::make_unique<Hbm>(config.name + ".hbm", ledgerWatermark_,
+                                 &stats_, config.l3Bytes,
+                                 config.l3BytesPerSecond, config.l3Channels,
+                                 config.l3LatencyTicks);
     pcie_ = std::make_unique<BandwidthResource>(
-        config.name + ".pcie", queue_, &stats_, config.pcieBytesPerSecond,
-        500'000 /* ~500 ns host round trip */);
-    dmaClock_ = std::make_unique<ClockDomain>(queue_, config.dmaHz);
+        config.name + ".pcie", ledgerWatermark_, &stats_,
+        config.pcieBytesPerSecond, 500'000 /* ~500 ns host round trip */);
+    dmaClock_ = std::make_unique<ClockDomain>(config.dmaHz);
 
     DvfsPolicy dvfs = config.dvfs;
     if (dvfs.enabled) {
@@ -55,10 +56,10 @@ Dtu::Dtu(const DtuConfig &config)
     for (unsigned c = 0; c < config.clusters; ++c) {
         // Boot clocks at the CPME's initial point (top of ladder).
         coreClocks_.push_back(
-            std::make_unique<ClockDomain>(queue_, cpme_->frequency()));
+            std::make_unique<ClockDomain>(cpme_->frequency()));
         clusters_.push_back(std::make_unique<Cluster>(
-            config.name + ".cluster" + std::to_string(c), queue_, &stats_,
-            config, c, *coreClocks_.back(), *dmaClock_, *hbm_,
+            config.name + ".cluster" + std::to_string(c), ledgerWatermark_,
+            &stats_, config, c, *coreClocks_.back(), *dmaClock_, *hbm_,
             pcie_.get()));
     }
 
@@ -131,7 +132,7 @@ void
 Dtu::restartLedgers()
 {
     forEachLedger([](CapacityLedger &l) { l.restart(); });
-    queue_.resetLedgerWatermark();
+    ledgerWatermark_ = 0;
 }
 
 ClockDomain &

@@ -2,7 +2,7 @@
  * @file
  * The full DTU system-on-chip (Fig. 2).
  *
- * A Dtu owns one event queue, one statistics registry, the L3 HBM,
+ * A Dtu owns its ledger watermark, one statistics registry, the L3 HBM,
  * the PCIe host link, per-cluster core clock domains (DVFS acts on
  * the core clocks), a fixed DMA clock, the clusters of processing
  * groups, the central power management engine, and the chip-level
@@ -13,6 +13,7 @@
 #ifndef DTU_SOC_DTU_HH
 #define DTU_SOC_DTU_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -37,7 +38,7 @@ class PerfMonitor;
 class Cluster : public SimObject
 {
   public:
-    Cluster(std::string name, EventQueue &queue, StatRegistry *stats,
+    Cluster(std::string name, const Tick &watermark, StatRegistry *stats,
             const DtuConfig &config, unsigned cluster_id,
             ClockDomain &core_clock, ClockDomain &dma_clock, Hbm &hbm,
             BandwidthResource *pcie);
@@ -62,7 +63,23 @@ class Dtu
     ~Dtu();
 
     const DtuConfig &config() const { return config_; }
-    EventQueue &eventQueue() { return queue_; }
+
+    /**
+     * The start of the open part of this chip's bandwidth timeline:
+     * a booking that starts earlier waits for it, and ledger pages
+     * wholly below it are retired (see CapacityLedger). Co-simulation
+     * books out of order from tick 0, so only a driver that books
+     * nothing earlier raises it: the serving scheduler, at each
+     * launch, on the chip's lane. Other users (streams, Executor,
+     * tenancy) never raise it, so on a chip that never served they
+     * book anywhere.
+     */
+    Tick ledgerWatermark() const { return ledgerWatermark_; }
+    void
+    raiseLedgerWatermark(Tick at)
+    {
+        ledgerWatermark_ = std::max(ledgerWatermark_, at);
+    }
     StatRegistry &stats() { return stats_; }
     /** The chip-wide timeline tracer (disabled until enabled). */
     Tracer &tracer() { return tracer_; }
@@ -169,7 +186,8 @@ class Dtu
     void forEachLedger(const std::function<void(CapacityLedger &)> &f);
 
     DtuConfig config_;
-    EventQueue queue_;
+    /** Every pipe of the chip holds a reference to it. */
+    Tick ledgerWatermark_ = 0;
     StatRegistry stats_;
     Tracer tracer_;
     std::unique_ptr<Hbm> hbm_;

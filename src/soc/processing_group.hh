@@ -32,13 +32,15 @@ class ProcessingGroup : public SimObject
 {
   public:
     /**
+     * @param watermark the chip's ledger watermark, which every pipe
+     *        of this group books behind.
      * @param gid global group index.
      * @param core_clock the cluster's core clock domain (DVFS target).
      * @param dma_clock the fixed DMA clock domain.
      * @param hbm the chip's L3.
      * @param pcie the chip's host link.
      */
-    ProcessingGroup(std::string name, EventQueue &queue,
+    ProcessingGroup(std::string name, const Tick &watermark,
                     StatRegistry *stats, const DtuConfig &config,
                     unsigned gid, ClockDomain &core_clock,
                     ClockDomain &dma_clock, Hbm &hbm,

@@ -8,10 +8,9 @@
 namespace dtu
 {
 
-SyncEngine::SyncEngine(std::string name, EventQueue &queue,
-                       StatRegistry *stats, Tick signal_latency)
-    : SimObject(std::move(name), queue, stats),
-      signalLatency_(signal_latency)
+SyncEngine::SyncEngine(std::string name, StatRegistry *stats,
+                       Tick signal_latency)
+    : SimObject(std::move(name), stats), signalLatency_(signal_latency)
 {
     if (stats) {
         signals_.init(*stats, childName("signals"),

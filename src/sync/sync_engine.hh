@@ -32,7 +32,7 @@ namespace dtu
 class SyncEngine : public SimObject
 {
   public:
-    SyncEngine(std::string name, EventQueue &queue, StatRegistry *stats,
+    SyncEngine(std::string name, StatRegistry *stats,
                Tick signal_latency = 20);
 
     /**

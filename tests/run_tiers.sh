@@ -13,11 +13,10 @@
 #   tests/run_tiers.sh --with-tsan  # + tier 4 (ThreadSanitizer)
 #
 # Tier 4 rebuilds with -DDTU_SANITIZE=thread and runs the tests that
-# exercise the fleet's lane executor (sim/lane_executor.hh) and the
-# calendar event queue: the lane and floor tests, the determinism
-# harness, the fleet/serving suites, the golden replays, and the
-# observers that run on the lanes. TSan and ASan cannot share a build
-# tree, hence the separate build-tsan/.
+# exercise the fleet's lane executor (sim/lane_executor.hh): the lane
+# and floor tests, the determinism harness, the fleet/serving suites,
+# the golden replays, and the observers that run on the lanes. TSan
+# and ASan cannot share a build tree, hence the separate build-tsan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,9 +32,9 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Suites covering the lane executor, fleet path, event queue and the
-# observers on the lanes (tier 4).
-tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor|EnergyMonitorTest|FlightRecorder|RequestTrace|SloMonitor|Prometheus|PrometheusEnergy|GoldenEnergyReport|GoldenFabric|FleetMetrics|EnergyAttribution|RequestSampling|FabricObservability|FaultHooksTest|ServingObserver)\.'
+# Suites covering the lane executor, fleet path and the observers on
+# the lanes (tier 4).
+tsan_filter='^(Determinism|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|LaneExecutor|PlanFloor|EnergyMonitorTest|FlightRecorder|RequestTrace|SloMonitor|Prometheus|PrometheusEnergy|GoldenEnergyReport|GoldenFabric|FleetMetrics|EnergyAttribution|RequestSampling|FabricObservability|FaultHooksTest|ServingObserver)\.'
 
 echo "== tier 1: fast tests =="
 cmake -B build -S . >/dev/null
@@ -53,7 +52,7 @@ cmake --build build-asan -j"$jobs"
 (cd build-asan && ctest --output-on-failure -j"$jobs" -LE slow)
 
 if [ "$with_tsan" -eq 1 ]; then
-    echo "== tier 4: ThreadSanitizer (parallel fleet + event queue) =="
+    echo "== tier 4: ThreadSanitizer (parallel fleet) =="
     cmake -B build-tsan -S . -DDTU_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j"$jobs"
     (cd build-tsan && ctest --output-on-failure -j"$jobs" -R "$tsan_filter")

@@ -23,10 +23,9 @@ using namespace dtu;
 
 struct CodegenRig
 {
-    EventQueue queue;
-    ClockDomain clock{queue, 1.3e9};
+    ClockDomain clock{1.3e9};
     CoreConfig config;
-    ComputeCore core{"codegen.core", queue, nullptr, clock, config};
+    ComputeCore core{"codegen.core", nullptr, clock, config};
     Random rng{314};
 
     /** Fill a/b streams, run the kernel, and validate every lane. */

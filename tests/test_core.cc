@@ -360,15 +360,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SortingProperty, ::testing::Range(0, 25));
 
 struct CoreHarness
 {
-    EventQueue queue;
     StatRegistry stats;
-    ClockDomain clock{queue, 1.3e9};
+    ClockDomain clock{1.3e9};
     CoreConfig config;
     ComputeCore core;
 
     explicit CoreHarness(bool dtu2 = true)
         : config{.regs = {}, .dtu2 = dtu2, .l1Bytes = 1_MiB},
-          core("test.core", queue, &stats, clock, config)
+          core("test.core", &stats, clock, config)
     {}
 };
 
@@ -415,7 +414,7 @@ TEST(ComputeCore, RunawayLoopIsCaught)
     h.core.run(Assembler("ok").finish()); // sanity
     CoreConfig tight = h.config;
     tight.maxPackets = 100;
-    ComputeCore small("test.small", h.queue, nullptr, h.clock, tight);
+    ComputeCore small("test.small", nullptr, h.clock, tight);
     Assembler as("forever");
     as.sli(0, 0).sli(1, 1);
     auto top = as.here();
@@ -554,7 +553,7 @@ TEST(ComputeCore, RunOnServedChipMatchesFreshChip)
     // watermark so its instruction fetch books in the open timeline.
     Dtu &served = fleet.device(0).chip();
     const Tick start = secondsToTicks(1.0);
-    ASSERT_LT(served.eventQueue().ledgerWatermark(), start);
+    ASSERT_LT(served.ledgerWatermark(), start);
     auto run = [](ComputeCore &core, Tick at) {
         for (unsigned i = 0; i < 16; ++i)
             core.setL1Word(i, -2.0 + 0.25 * i);
@@ -593,7 +592,7 @@ TEST(ComputeCore, RunOnServedChipMatchesFreshChip)
     // From tick 0 the same run waits for the watermark on its first
     // instruction fetch, and computes the same values.
     const auto [late, late_out] = run(served.core(1), 0);
-    EXPECT_GT(late.endTick, served.eventQueue().ledgerWatermark());
+    EXPECT_GT(late.endTick, served.ledgerWatermark());
     EXPECT_EQ(late.instructions, want.instructions);
     EXPECT_EQ(late_out, want_out);
 }

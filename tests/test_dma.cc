@@ -85,26 +85,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseRoundTrip, ::testing::Range(0, 20));
 
 struct DmaHarness
 {
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
-    ClockDomain dmaClock{queue, 1.0e9};
+    ClockDomain dmaClock{1.0e9};
     Hbm hbm; // initialized in the constructor (bandwidth varies)
-    Sram l2a{"l2a", queue, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0};
-    Sram l2b{"l2b", queue, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0};
-    Sram l2c{"l2c", queue, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0};
-    Sram l1{"l1", queue, &stats, MemLevel::L1, 1_MiB, 1, 166e9, 0};
+    Sram l2a{"l2a", watermark, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0};
+    Sram l2b{"l2b", watermark, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0};
+    Sram l2c{"l2c", watermark, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0};
+    Sram l1{"l1", watermark, &stats, MemLevel::L1, 1_MiB, 1, 166e9, 0};
     std::unique_ptr<DmaEngine> dma;
 
     explicit DmaHarness(DmaFeatures features = {},
                         double hbm_bw = 819e9)
-        : hbm{"hbm", queue, &stats, 16_GiB, hbm_bw, 8, 0}
+        : hbm{"hbm", watermark, &stats, 16_GiB, hbm_bw, 8, 0}
     {
         DmaFabric fabric;
         fabric.hbm = &hbm;
         fabric.localL2 = &l2a;
         fabric.clusterL2 = {&l2a, &l2b, &l2c};
         fabric.coreL1 = {&l1};
-        dma = std::make_unique<DmaEngine>("dma", queue, &stats, dmaClock,
+        dma = std::make_unique<DmaEngine>("dma", watermark, &stats, dmaClock,
                                           fabric, features);
     }
 };
@@ -116,7 +116,7 @@ TEST(DmaEngine, SimpleL3ToL2Transfer)
     desc.src = MemLevel::L3;
     desc.dst = MemLevel::L2;
     desc.bytes = 1_MiB;
-    DmaResult r = h.dma->submit(desc);
+    DmaResult r = h.dma->submitAt(0, desc);
     EXPECT_EQ(r.configs, 1u);
     EXPECT_EQ(r.srcBytes, 1_MiB);
     EXPECT_EQ(r.dstBytes, 1_MiB);
@@ -136,11 +136,11 @@ TEST(DmaEngine, RepeatModeEliminatesConfigs)
 
     DmaHarness normal;
     desc.repeatMode = false;
-    DmaResult n = normal.dma->submit(desc);
+    DmaResult n = normal.dma->submitAt(0, desc);
 
     DmaHarness repeat;
     desc.repeatMode = true;
-    DmaResult r = repeat.dma->submit(desc);
+    DmaResult r = repeat.dma->submitAt(0, desc);
 
     EXPECT_EQ(n.configs, 9u);
     EXPECT_EQ(r.configs, 1u);
@@ -162,7 +162,7 @@ TEST(DmaEngine, RepeatModeRequiresFeature)
     desc.bytes = 4096;
     desc.repeatCount = 4;
     desc.repeatMode = true; // requested but unsupported: falls back
-    DmaResult r = h.dma->submit(desc);
+    DmaResult r = h.dma->submitAt(0, desc);
     EXPECT_EQ(r.configs, 4u);
 }
 
@@ -174,7 +174,7 @@ TEST(DmaEngine, BroadcastWritesAllSlicesOnce)
     desc.dst = MemLevel::L2;
     desc.bytes = 64_KiB;
     desc.broadcast = true;
-    DmaResult r = h.dma->submit(desc);
+    DmaResult r = h.dma->submitAt(0, desc);
     EXPECT_EQ(r.srcBytes, 64_KiB);          // read once
     EXPECT_EQ(r.dstBytes, 3u * 64_KiB);     // three copies
     EXPECT_DOUBLE_EQ(h.l2a.totalBytes(), 64.0 * 1024.0);
@@ -191,13 +191,13 @@ TEST(DmaEngine, BroadcastFasterThanThreeTransfers)
 
     DmaHarness bcast;
     desc.broadcast = true;
-    Tick one = bcast.dma->submit(desc).done;
+    Tick one = bcast.dma->submitAt(0, desc).done;
 
     DmaHarness three;
     desc.broadcast = false;
     Tick last = 0;
     for (int i = 0; i < 3; ++i)
-        last = three.dma->submit(desc).done;
+        last = three.dma->submitAt(0, desc).done;
     EXPECT_LT(one, last);
 }
 
@@ -210,7 +210,7 @@ TEST(DmaEngine, BroadcastRejectedWithoutFeature)
     desc.dst = MemLevel::L2;
     desc.bytes = 4096;
     desc.broadcast = true;
-    EXPECT_THROW(h.dma->submit(desc), FatalError);
+    EXPECT_THROW(h.dma->submitAt(0, desc), FatalError);
 }
 
 TEST(DmaEngine, SparseTransferMovesFewerL3Bytes)
@@ -227,13 +227,13 @@ TEST(DmaEngine, SparseTransferMovesFewerL3Bytes)
     desc.bytes = 2_MiB;
     desc.sparse = true;
     desc.density = 0.2;
-    DmaResult r = h.dma->submit(desc);
+    DmaResult r = h.dma->submitAt(0, desc);
     EXPECT_LT(r.srcBytes, desc.bytes / 3);  // compressed on the wire
     EXPECT_EQ(r.dstBytes, desc.bytes);      // dense at the destination
 
     DmaHarness dense({}, contended);
     desc.sparse = false;
-    DmaResult d = dense.dma->submit(desc);
+    DmaResult d = dense.dma->submitAt(0, desc);
     EXPECT_LT(r.done, d.done); // bandwidth saved = time saved
 }
 
@@ -247,7 +247,7 @@ TEST(DmaEngine, SparseNeverExpandsDenseData)
     desc.bytes = 1_MiB;
     desc.sparse = true;
     desc.density = 1.0; // fully dense: mask would add overhead
-    DmaResult r = h.dma->submit(desc);
+    DmaResult r = h.dma->submitAt(0, desc);
     EXPECT_LE(r.srcBytes, desc.bytes);
 }
 
@@ -259,11 +259,11 @@ TEST(DmaEngine, L1L3DirectBeatsStaging)
     desc.bytes = 256_KiB;
 
     DmaHarness direct; // DTU 2.0 features
-    DmaResult d = direct.dma->submit(desc);
+    DmaResult d = direct.dma->submitAt(0, desc);
 
     DmaFeatures dtu1{false, false, false, false};
     DmaHarness staged(dtu1);
-    DmaResult s = staged.dma->submit(desc);
+    DmaResult s = staged.dma->submitAt(0, desc);
 
     EXPECT_LT(d.done, s.done);
     // Staged routing burns L2 bandwidth; direct leaves L2 untouched.
@@ -280,11 +280,11 @@ TEST(DmaEngine, TransposeRunsBelowStreamingRate)
     desc.bytes = 4_MiB;
 
     DmaHarness stream;
-    DmaResult a = stream.dma->submit(desc);
+    DmaResult a = stream.dma->submitAt(0, desc);
 
     DmaHarness transposed;
     desc.transform = TransformKind::Transpose;
-    DmaResult b = transposed.dma->submit(desc);
+    DmaResult b = transposed.dma->submitAt(0, desc);
     EXPECT_GT(b.done, a.done);
 }
 
@@ -293,7 +293,7 @@ TEST(DmaEngine, ZeroRepeatCountRejected)
     DmaHarness h;
     DmaDescriptor desc;
     desc.repeatCount = 0;
-    EXPECT_THROW(h.dma->submit(desc), FatalError);
+    EXPECT_THROW(h.dma->submitAt(0, desc), FatalError);
 }
 
 TEST(DmaEngine, SameLevelDescriptorRejected)
@@ -304,12 +304,12 @@ TEST(DmaEngine, SameLevelDescriptorRejected)
     for (MemLevel level :
          {MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Host}) {
         desc.src = desc.dst = level;
-        EXPECT_THROW(h.dma->submit(desc), FatalError);
+        EXPECT_THROW(h.dma->submitAt(0, desc), FatalError);
     }
     // Broadcast from L2 writes the slice it reads from.
     desc.src = desc.dst = MemLevel::L2;
     desc.broadcast = true;
-    EXPECT_THROW(h.dma->submit(desc), FatalError);
+    EXPECT_THROW(h.dma->submitAt(0, desc), FatalError);
 }
 
 //
@@ -363,8 +363,7 @@ DmaResult
 submitInterleaved(Dtu &chip, Tick at, const DmaDescriptor &desc)
 {
     DmaEngine &dma = chip.group(0).dma();
-    EventQueue clock_queue;
-    ClockDomain clock(clock_queue, chip.config().dmaHz);
+    ClockDomain clock(chip.config().dmaHz);
     const Tick config_ticks = clock.ticksFor(dma.configCycles());
     const bool use_repeat = desc.repeatMode && desc.repeatCount > 1;
     const auto pipe_bytes = static_cast<std::uint64_t>(

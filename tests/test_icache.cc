@@ -18,16 +18,16 @@ using namespace dtu;
 
 struct IcacheRig
 {
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
-    Hbm hbm{"hbm", queue, &stats, 16_GiB, 819e9, 8, 120'000};
+    Hbm hbm{"hbm", watermark, &stats, 16_GiB, 819e9, 8, 120'000};
 
     InstructionCache
     make(std::uint64_t capacity, bool cache_mode)
     {
         static int id = 0;
-        return InstructionCache("icache" + std::to_string(id++), queue,
-                                &stats, hbm, capacity, cache_mode);
+        return InstructionCache("icache" + std::to_string(id++), &stats,
+                                hbm, capacity, cache_mode);
     }
 };
 

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/allocator.hh"
@@ -28,14 +30,14 @@ using namespace dtu;
 
 struct MemHarness
 {
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
 };
 
 TEST(Bandwidth, ServiceTimeMatchesRate)
 {
     MemHarness h;
-    BandwidthResource pipe("pipe", h.queue, &h.stats, 1e9); // 1 GB/s
+    BandwidthResource pipe("pipe", h.watermark, &h.stats, 1e9); // 1 GB/s
     // 1000 bytes at 1 GB/s = 1 us = 1e6 ticks.
     EXPECT_EQ(pipe.serviceTime(1000), 1'000'000u);
 }
@@ -43,16 +45,16 @@ TEST(Bandwidth, ServiceTimeMatchesRate)
 TEST(Bandwidth, AccessLatencyAdds)
 {
     MemHarness h;
-    BandwidthResource pipe("pipe", h.queue, &h.stats, 1e9, 500);
+    BandwidthResource pipe("pipe", h.watermark, &h.stats, 1e9, 500);
     EXPECT_EQ(pipe.serviceTime(1000), 1'000'500u);
 }
 
 TEST(Bandwidth, BackToBackRequestsQueue)
 {
     MemHarness h;
-    BandwidthResource pipe("pipe", h.queue, &h.stats, 1e9);
-    Tick first = pipe.transfer(1000);
-    Tick second = pipe.transfer(1000);
+    BandwidthResource pipe("pipe", h.watermark, &h.stats, 1e9);
+    Tick first = pipe.transferAt(0, 1000);
+    Tick second = pipe.transferAt(0, 1000);
     EXPECT_EQ(first, 1'000'000u);
     EXPECT_EQ(second, 2'000'000u); // queued behind the first
     EXPECT_DOUBLE_EQ(pipe.totalBytes(), 2000.0);
@@ -62,7 +64,7 @@ TEST(Bandwidth, BackToBackRequestsQueue)
 TEST(Bandwidth, FutureTransfersDoNotQueueBehindNothing)
 {
     MemHarness h;
-    BandwidthResource pipe("pipe", h.queue, &h.stats, 1e9);
+    BandwidthResource pipe("pipe", h.watermark, &h.stats, 1e9);
     Tick done = pipe.transferAt(5'000'000, 1000);
     EXPECT_EQ(done, 6'000'000u);
 }
@@ -70,7 +72,7 @@ TEST(Bandwidth, FutureTransfersDoNotQueueBehindNothing)
 TEST(Bandwidth, CompletionSaturatesNearMaxTick)
 {
     MemHarness h;
-    BandwidthResource pipe("edge", h.queue, &h.stats, 1e9, 1000);
+    BandwidthResource pipe("edge", h.watermark, &h.stats, 1e9, 1000);
     // 1 GiB at 1 GB/s needs ~1 s; with 10 us of headroom left the
     // transfer must clamp to maxTick instead of wrapping to "done in
     // 1 ns".
@@ -82,7 +84,7 @@ TEST(Bandwidth, CompletionSaturatesNearMaxTick)
 TEST(Sram, RemoteCompletionSaturatesNearMaxTick)
 {
     MemHarness h;
-    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 1_MiB, 4, 1e9, 1000,
+    Sram l2("l2", h.watermark, &h.stats, MemLevel::L2, 1_MiB, 4, 1e9, 1000,
             5000);
     // The port's completion already saturates; the remote-port penalty
     // on top of it must not wrap it round to "done at tick 4999".
@@ -93,7 +95,7 @@ TEST(Bandwidth, RejectsNonPositiveRate)
 {
     MemHarness h;
     auto make_bad = [&h] {
-        BandwidthResource bad("x", h.queue, nullptr, 0.0);
+        BandwidthResource bad("x", h.watermark, nullptr, 0.0);
     };
     EXPECT_THROW(make_bad(), FatalError);
 }
@@ -103,21 +105,21 @@ TEST(Sram, ParallelPortsDoNotInterfere)
     MemHarness h;
     // 4-port L2 slice: simultaneous accesses on different ports
     // finish at the same time; on one port they serialize.
-    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 8_MiB, 4, 1e9, 0);
-    Tick a = l2.access(0, 0, 1000);
-    Tick b = l2.access(1, 1, 1000);
+    Sram l2("l2", h.watermark, &h.stats, MemLevel::L2, 8_MiB, 4, 1e9, 0);
+    Tick a = l2.accessAt(0, 0, 0, 1000);
+    Tick b = l2.accessAt(0, 1, 1, 1000);
     EXPECT_EQ(a, b);
-    Tick c = l2.access(0, 0, 1000); // contends with a
+    Tick c = l2.accessAt(0, 0, 0, 1000); // contends with a
     EXPECT_GT(c, a);
 }
 
 TEST(Sram, RemotePortPaysPenalty)
 {
     MemHarness h;
-    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 8_MiB, 4, 1e9, 100,
+    Sram l2("l2", h.watermark, &h.stats, MemLevel::L2, 8_MiB, 4, 1e9, 100,
             5000);
-    Tick local = l2.access(0, 0, 1000);
-    Tick remote = l2.access(1, 0, 1000); // affine to port 0, used port 1
+    Tick local = l2.accessAt(0, 0, 0, 1000);
+    Tick remote = l2.accessAt(0, 1, 0, 1000); // affine to port 0, used port 1
     EXPECT_EQ(remote, local + 5000);
     EXPECT_DOUBLE_EQ(h.stats.lookup("l2.remote_accesses"), 1.0);
     EXPECT_DOUBLE_EQ(h.stats.lookup("l2.local_accesses"), 1.0);
@@ -126,9 +128,9 @@ TEST(Sram, RemotePortPaysPenalty)
 TEST(Sram, LeastLoadedPortTracksTraffic)
 {
     MemHarness h;
-    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 8_MiB, 2, 1e9, 0);
+    Sram l2("l2", h.watermark, &h.stats, MemLevel::L2, 8_MiB, 2, 1e9, 0);
     EXPECT_EQ(l2.leastLoadedPort(), 0u);
-    l2.access(0, 0, 10000);
+    l2.accessAt(0, 0, 0, 10000);
     EXPECT_EQ(l2.leastLoadedPort(), 1u);
 }
 
@@ -136,10 +138,10 @@ TEST(Hbm, LargeRequestsAggregateChannels)
 {
     MemHarness h;
     // 8 channels, 800 GB/s total, no latency.
-    Hbm hbm("hbm", h.queue, &h.stats, 16_GiB, 800e9, 8, 0);
+    Hbm hbm("hbm", h.watermark, &h.stats, 16_GiB, 800e9, 8, 0);
     // 1 MiB striped over all channels: each channel moves 128 KiB at
     // 100 GB/s -> ~1.31 us.
-    Tick done = hbm.access(0, 1_MiB);
+    Tick done = hbm.accessAt(0, 0, 1_MiB);
     double seconds = ticksToSeconds(done);
     EXPECT_NEAR(seconds, (1024.0 * 1024.0) / 800e9, 1e-8);
 }
@@ -147,16 +149,16 @@ TEST(Hbm, LargeRequestsAggregateChannels)
 TEST(Hbm, SmallRequestStaysOnOneChannel)
 {
     MemHarness h;
-    Hbm hbm("hbm", h.queue, &h.stats, 16_GiB, 800e9, 8, 0);
+    Hbm hbm("hbm", h.watermark, &h.stats, 16_GiB, 800e9, 8, 0);
     // 256 bytes = one stripe: single channel at 100 GB/s.
-    Tick done = hbm.access(0, 256);
+    Tick done = hbm.accessAt(0, 0, 256);
     EXPECT_NEAR(ticksToSeconds(done), 256.0 / 100e9, 1e-10);
 }
 
 TEST(Hbm, ConcurrentStreamsShareBandwidth)
 {
     MemHarness h;
-    Hbm hbm("hbm", h.queue, &h.stats, 16_GiB, 800e9, 8, 0);
+    Hbm hbm("hbm", h.watermark, &h.stats, 16_GiB, 800e9, 8, 0);
     Tick one = hbm.accessAt(0, 0, 8_MiB);
     // A second stream issued at the same instant roughly doubles the
     // completion time of the later finisher.
@@ -169,9 +171,9 @@ TEST(Hbm, ConcurrentStreamsShareBandwidth)
 TEST(Hbm, AccessLatencyAppliesPerRequest)
 {
     MemHarness h;
-    Hbm fast("fast", h.queue, &h.stats, 16_GiB, 800e9, 8, 0);
-    Hbm slow("slow", h.queue, &h.stats, 16_GiB, 800e9, 8, 120'000);
-    EXPECT_EQ(slow.access(0, 256) - fast.access(0, 256), 120'000u);
+    Hbm fast("fast", h.watermark, &h.stats, 16_GiB, 800e9, 8, 0);
+    Hbm slow("slow", h.watermark, &h.stats, 16_GiB, 800e9, 8, 120'000);
+    EXPECT_EQ(slow.accessAt(0, 0, 256) - fast.accessAt(0, 0, 256), 120'000u);
 }
 
 /** @p n stand-alone pipes named @p prefix + index, one ledger each. */
@@ -182,7 +184,7 @@ independentPipes(const std::string &prefix, MemHarness &h, unsigned n,
     std::vector<std::unique_ptr<BandwidthResource>> pipes;
     for (unsigned i = 0; i < n; ++i)
         pipes.push_back(std::make_unique<BandwidthResource>(
-            prefix + std::to_string(i), h.queue, &h.stats,
+            prefix + std::to_string(i), h.watermark, &h.stats,
             bytes_per_second, latency));
     return pipes;
 }
@@ -196,7 +198,7 @@ TEST(Sram, SharedPortLedgerMatchesIndependentPorts)
     MemHarness ref;
     constexpr Tick kLatency = 1'500;
     constexpr Tick kPenalty = 5'000;
-    Sram l2("l2", h.queue, &h.stats, MemLevel::L2, 8_MiB, 4, 83.2e9,
+    Sram l2("l2", h.watermark, &h.stats, MemLevel::L2, 8_MiB, 4, 83.2e9,
             kLatency, kPenalty);
     auto ports = independentPipes("l2.port", ref, 4, 83.2e9, kLatency);
     double local = 0.0;
@@ -269,7 +271,7 @@ TEST(Hbm, SharedChannelLedgerMatchesIndependentChannels)
     MemHarness h;
     MemHarness ref;
     constexpr Tick kLatency = 120'000;
-    Hbm hbm("hbm", h.queue, &h.stats, 16_GiB, 819e9, 8, kLatency);
+    Hbm hbm("hbm", h.watermark, &h.stats, 16_GiB, 819e9, 8, kLatency);
     auto channels = independentPipes("hbm.ch", ref, 8, 819e9 / 8, kLatency);
     Random rng(29);
     Tick window = 0;
@@ -330,6 +332,41 @@ TEST(Dtu, SharedLedgersCountAndRestartOnce)
     EXPECT_EQ(done, fresh_done);
     EXPECT_EQ(l2.leastLoadedPort(), fresh.group(0).l2().leastLoadedPort());
     EXPECT_EQ(chip.ledgerPages(), 2u);
+}
+
+TEST(Dtu, WatermarkReachesEveryPipe)
+{
+    // Every pipe of the chip books behind the chip's one watermark: a
+    // booking at tick 0 waits for it and counts the wait.
+    Dtu chip(dtu2Config());
+    const Tick watermark = secondsToTicks(1e-3);
+    chip.raiseLedgerWatermark(watermark);
+    ASSERT_EQ(chip.ledgerWatermark(), watermark);
+    const std::string &name = chip.config().name;
+    ProcessingGroup &pg = chip.group(0);
+    const Tick start = 0;
+    std::vector<std::pair<std::string, Tick>> booked;
+    booked.emplace_back(pg.dma().pipe().name(),
+                        pg.dma().pipe().transferAt(start, 4_KiB));
+    booked.emplace_back(pg.l1(0).port(0).name(),
+                        pg.l1(0).accessAt(start, 0, 0, 4_KiB));
+    Tick done = 0;
+    pg.l2().stripeSeries(&start, 1, 64_KiB, &done);
+    for (unsigned p = 0; p < pg.l2().numPorts(); ++p)
+        booked.emplace_back(pg.l2().port(p).name(), done);
+    booked.emplace_back(pg.l2().name() + ".dma_port",
+                        pg.l2().dmaAccessAt(start, 4_KiB));
+    done = chip.hbm().accessAt(start, 0, 1_MiB);
+    for (unsigned c = 0; c < chip.hbm().numChannels(); ++c)
+        booked.emplace_back(name + ".hbm.ch" + std::to_string(c), done);
+    booked.emplace_back(chip.pcie().name(),
+                        chip.pcie().transferAt(start, 4_KiB));
+    for (const auto &[pipe, completion] : booked) {
+        EXPECT_GE(completion, watermark) << pipe;
+        EXPECT_NEAR(chip.stats().lookup(pipe + ".wait_ticks"),
+                    static_cast<double>(watermark), 1.0)
+            << pipe;
+    }
 }
 
 TEST(Allocator, PrefersRequestedBank)

@@ -116,9 +116,6 @@ TEST(MultiCore, KernelLaunchedDmaSignalsCompletion)
     RunResult r = core.run(as.finish());
     // The wait must cover the DMA's transfer time.
     EXPECT_GT(r.syncStallTicks, 0u);
-    Tick service = chip.hbm().accessAt(chip.eventQueue().now(), 0, 0) -
-                   chip.eventQueue().now();
-    (void)service;
 }
 
 TEST(MultiCore, PrefetchFromKernelWarmsIcache)

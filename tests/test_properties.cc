@@ -3,10 +3,9 @@
  * Cross-cutting property tests: functional VMM against a host
  * reference over every (dtype, rows) pattern, sparse-codec and DMA
  * monotonicity, bandwidth-ledger conservation under out-of-order
- * arrival, executor scaling laws, the calendar event queue
- * against a sorted-vector reference model, and the capacity ledger
- * against the per-bucket walk it replaced, with its pages retired, and
- * with its lanes against independent ledgers.
+ * arrival, executor scaling laws, and the capacity ledger against the
+ * per-bucket walk it replaced, with its pages retired, and with its
+ * lanes against independent ledgers.
  */
 
 #include <gtest/gtest.h>
@@ -202,19 +201,19 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SparseMonotonicity,
 
 TEST(DmaProperty, CompletionMonotoneInBytes)
 {
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
-    ClockDomain clock(queue, 1.0e9);
-    Hbm hbm("hbm", queue, &stats, 16_GiB, 819e9, 8, 0);
-    Sram l2("l2", queue, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0, 0,
+    ClockDomain clock(1.0e9);
+    Hbm hbm("hbm", watermark, &stats, 16_GiB, 819e9, 8, 0);
+    Sram l2("l2", watermark, &stats, MemLevel::L2, 8_MiB, 4, 83e9, 0, 0,
             333e9);
-    Sram l1("l1", queue, &stats, MemLevel::L1, 1_MiB, 1, 166e9, 0);
+    Sram l1("l1", watermark, &stats, MemLevel::L1, 1_MiB, 1, 166e9, 0);
     DmaFabric fabric;
     fabric.hbm = &hbm;
     fabric.localL2 = &l2;
     fabric.clusterL2 = {&l2};
     fabric.coreL1 = {&l1};
-    DmaEngine dma("dma", queue, &stats, clock, fabric, DmaFeatures{});
+    DmaEngine dma("dma", watermark, &stats, clock, fabric, DmaFeatures{});
     // Back-to-back transfers on one engine: completion never goes
     // backwards, and an order of magnitude more data takes strictly
     // longer (small sizes may tie within one ledger bucket).
@@ -225,7 +224,7 @@ TEST(DmaProperty, CompletionMonotoneInBytes)
         desc.src = MemLevel::L3;
         desc.dst = MemLevel::L2;
         desc.bytes = kib * 1024;
-        DmaResult r = dma.submit(desc);
+        DmaResult r = dma.submitAt(0, desc);
         EXPECT_GE(r.done, prev);
         prev = r.done;
         if (kib == 1)
@@ -239,9 +238,9 @@ TEST(BandwidthProperty, OutOfOrderArrivalsConserveCapacity)
 {
     // Submit a late request for an early time: it must use the idle
     // capacity of the past, not queue behind already-finished work.
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
-    BandwidthResource pipe("pipe", queue, &stats, 1e9); // 1 GB/s
+    BandwidthResource pipe("pipe", watermark, &stats, 1e9); // 1 GB/s
     Tick far = pipe.transferAt(10'000'000, 1000);       // at t=10us
     Tick early = pipe.transferAt(0, 1000);              // at t=0
     EXPECT_GT(far, 10'000'000u);
@@ -250,9 +249,9 @@ TEST(BandwidthProperty, OutOfOrderArrivalsConserveCapacity)
 
 TEST(BandwidthProperty, SimultaneousRequestsSumToSerialTime)
 {
-    EventQueue queue;
+    Tick watermark = 0;
     StatRegistry stats;
-    BandwidthResource pipe("pipe", queue, &stats, 1e9);
+    BandwidthResource pipe("pipe", watermark, &stats, 1e9);
     Tick a = pipe.transferAt(0, 500'000);
     Tick b = pipe.transferAt(0, 500'000);
     // Together they need 1 MB / 1 GB/s = 1 ms of capacity.
@@ -427,202 +426,6 @@ TEST(HistogramProperty, PercentilesAreMonotoneOnRandomSamples)
 }
 
 //
-// The calendar event queue against a sorted-vector reference model.
-//
-// The EventQueue rewrite (indexed calendar buckets, eager removal)
-// must preserve the kernel's ordering contract exactly: strictly
-// time-ordered pops, same-tick FIFO by schedule order, reschedule
-// moving an event to the back of its new tick's FIFO, and safe
-// destruction of still-scheduled events.
-//
-
-/** A scheduled-event reference model: (when, serial) kept sorted. */
-struct RefModel
-{
-    struct Item
-    {
-        Tick when;
-        std::uint64_t serial;
-        int id;
-    };
-
-    std::vector<Item> items;
-    std::uint64_t nextSerial = 0;
-
-    void
-    schedule(int id, Tick when)
-    {
-        items.push_back({when, nextSerial++, id});
-        std::sort(items.begin(), items.end(),
-                  [](const Item &a, const Item &b) {
-                      return a.when != b.when ? a.when < b.when
-                                              : a.serial < b.serial;
-                  });
-    }
-
-    void
-    deschedule(int id)
-    {
-        items.erase(std::find_if(items.begin(), items.end(),
-                                 [&](const Item &i) {
-                                     return i.id == id;
-                                 }));
-    }
-
-    Item
-    pop()
-    {
-        Item front = items.front();
-        items.erase(items.begin());
-        return front;
-    }
-};
-
-TEST(EventQueueProperty, RandomOpsMatchReferenceModel)
-{
-    for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
-        Random rng(seed);
-        EventQueue q;
-        RefModel ref;
-        std::vector<int> popped;
-
-        // Events outlive the whole trial; index == id. The callback
-        // records pops so the pop ORDER (not just the set) is
-        // compared against the model.
-        std::vector<std::unique_ptr<Event>> events;
-        std::vector<bool> live;
-        auto makeEvent = [&]() {
-            int id = static_cast<int>(events.size());
-            events.push_back(std::make_unique<Event>(
-                [&popped, id] { popped.push_back(id); },
-                "prop" + std::to_string(id)));
-            live.push_back(false);
-            return id;
-        };
-
-        for (unsigned op = 0; op < 2000; ++op) {
-            double dice = rng.uniform();
-            if (dice < 0.45 || ref.items.empty()) {
-                // Schedule a fresh event; a coarse tick range forces
-                // plenty of same-tick collisions.
-                int id = makeEvent();
-                Tick when =
-                    q.now() + static_cast<Tick>(rng.next() % 400);
-                q.schedule(*events[id], when);
-                ref.schedule(id, when);
-                live[id] = true;
-            } else if (dice < 0.60) {
-                // Deschedule a random live event.
-                const RefModel::Item &victim = ref.items
-                    [rng.next() % ref.items.size()];
-                int id = victim.id;
-                q.deschedule(*events[id]);
-                ref.deschedule(id);
-                live[id] = false;
-            } else if (dice < 0.75) {
-                // Reschedule: moves to the back of the new tick FIFO.
-                const RefModel::Item &victim = ref.items
-                    [rng.next() % ref.items.size()];
-                int id = victim.id;
-                Tick when =
-                    q.now() + static_cast<Tick>(rng.next() % 400);
-                q.reschedule(*events[id], when);
-                ref.deschedule(id);
-                ref.schedule(id, when);
-            } else {
-                // Pop one event and check order + time monotonicity.
-                Tick before = q.now();
-                std::size_t n_popped = popped.size();
-                ASSERT_TRUE(q.step());
-                RefModel::Item expect = ref.pop();
-                ASSERT_EQ(popped.size(), n_popped + 1);
-                ASSERT_EQ(popped.back(), expect.id)
-                    << "seed " << seed << " op " << op;
-                ASSERT_EQ(q.now(), expect.when);
-                ASSERT_GE(q.now(), before);
-                live[expect.id] = false;
-            }
-            ASSERT_EQ(q.size(), ref.items.size());
-            ASSERT_EQ(q.empty(), ref.items.empty());
-        }
-
-        // Drain: the tail must come out in exact model order.
-        while (!ref.items.empty()) {
-            ASSERT_TRUE(q.step());
-            RefModel::Item expect = ref.pop();
-            ASSERT_EQ(popped.back(), expect.id);
-            live[expect.id] = false;
-        }
-        ASSERT_FALSE(q.step());
-        ASSERT_TRUE(q.empty());
-        for (std::size_t id = 0; id < events.size(); ++id)
-            ASSERT_EQ(events[id]->scheduled(), live[id]);
-    }
-}
-
-TEST(EventQueueProperty, SameTickFifoIsStableAcrossResizes)
-{
-    EventQueue q;
-    std::vector<int> popped;
-    std::vector<std::unique_ptr<Event>> events;
-    // Far more same-tick events than the initial bucket count, so
-    // the ring grows (and later shrinks) mid-sequence while the
-    // schedule-order FIFO within each tick must survive.
-    constexpr int kPerTick = 40;
-    for (int tick = 0; tick < 4; ++tick)
-        for (int i = 0; i < kPerTick; ++i) {
-            int id = tick * kPerTick + i;
-            events.push_back(std::make_unique<Event>(
-                [&popped, id] { popped.push_back(id); }));
-            q.schedule(*events.back(),
-                       static_cast<Tick>(100 * (tick + 1)));
-        }
-    q.run();
-    ASSERT_EQ(popped.size(), events.size());
-    for (std::size_t i = 0; i < popped.size(); ++i)
-        EXPECT_EQ(popped[i], static_cast<int>(i));
-    EXPECT_EQ(q.now(), 400u);
-}
-
-TEST(EventQueueProperty, SparseFarFutureEventsStayOrdered)
-{
-    // Events far beyond one trip around the bucket ring exercise the
-    // direct-scan fallback path.
-    EventQueue q;
-    std::vector<Tick> fired;
-    Event near([&] { fired.push_back(q.now()); });
-    Event mid([&] { fired.push_back(q.now()); });
-    Event far([&] { fired.push_back(q.now()); });
-    q.schedule(far, 40'000'000'000ULL);
-    q.schedule(mid, 7'000'000ULL);
-    q.schedule(near, 3ULL);
-    q.run();
-    ASSERT_EQ(fired.size(), 3u);
-    EXPECT_EQ(fired[0], 3u);
-    EXPECT_EQ(fired[1], 7'000'000u);
-    EXPECT_EQ(fired[2], 40'000'000'000u);
-}
-
-TEST(EventQueueProperty, DestroyingScheduledEventRemovesItSafely)
-{
-    // Regression: the old lazy-deletion heap kept a raw pointer to
-    // descheduled events and dereferenced it at pop time — a
-    // destroyed-while-scheduled event was a use-after-free. Eager
-    // removal makes destruction safe.
-    EventQueue q;
-    int fired = 0;
-    auto doomed = std::make_unique<Event>([&] { ++fired; });
-    Event survivor([&] { ++fired; });
-    q.schedule(*doomed, 10);
-    q.schedule(survivor, 20);
-    doomed.reset(); // destroys a still-scheduled event
-    EXPECT_EQ(q.size(), 1u);
-    q.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 20u);
-}
-
-//
 // The capacity ledger against the per-bucket walk it replaced.
 //
 // CapacityLedger skips saturated buckets a word at a time and stores
@@ -765,9 +568,9 @@ TEST(CapacityLedgerProperty, RandomOutOfOrderTransfersMatchPerBucketWalk)
             RefLedger ref(bps);
             CapacityLedger ledger(bps);
             fabric::Link link("prop.link", gbps);
-            EventQueue queue;
+            Tick watermark = 0;
             StatRegistry stats;
-            BandwidthResource pipe("prop.pipe", queue, &stats, bps,
+            BandwidthResource pipe("prop.pipe", watermark, &stats, bps,
                                    kLatency);
             const double cap = ref.bucketBytes();
             std::uint64_t transfers = 0;
@@ -885,14 +688,13 @@ TEST(CapacityLedgerProperty, SeriesMatchesOneBookingAtATime)
                 const double bps = gbps * 1e9;
                 RefLedger ref(bps);
                 CapacityLedger ledger(bps);
-                EventQueue queue;
-                BandwidthResource pipe("prop.pipe", queue, nullptr, bps,
+                Tick watermark = 0;
+                BandwidthResource pipe("prop.pipe", watermark, nullptr, bps,
                                        kLatency);
                 const double cap = ref.bucketBytes();
                 auto bucketsOf = [&](double n) {
                     return static_cast<std::uint64_t>(n * cap);
                 };
-                Tick watermark = 0;
                 std::vector<Tick> starts;
                 std::vector<Tick> done;
                 std::vector<Tick> pipe_done;
@@ -942,11 +744,9 @@ TEST(CapacityLedgerProperty, SeriesMatchesOneBookingAtATime)
                         1 + rng.below(bytes > bucketsOf(8)       ? 6
                                       : rng.uniform() < 0.5 ? 8
                                                             : 80);
-                    if (rising && rng.uniform() < 0.3) {
+                    if (rising && rng.uniform() < 0.3)
                         watermark = std::max(
                             watermark, window - rng.below(200 * kBucket));
-                        queue.raiseLedgerWatermark(watermark);
-                    }
                     Tick at = window + rng.below(64 * kBucket);
                     const double where = rng.uniform();
                     if (where < 0.1)
@@ -1171,14 +971,14 @@ TEST(CapacityLedgerProperty, RetirementBehindWatermarkChangesNoBooking)
             CapacityLedger retired(bps);
             fabric::Link kept_link("prop.kept", gbps);
             fabric::Link link("prop.link", gbps);
-            EventQueue kept_queue;
-            EventQueue queue;
-            BandwidthResource kept_pipe("prop.kept", kept_queue, nullptr,
-                                        bps, 1'500);
-            BandwidthResource pipe("prop.pipe", queue, nullptr, bps, 1'500);
+            const Tick kept_watermark = 0;
+            Tick watermark = 0;
+            BandwidthResource kept_pipe("prop.kept", kept_watermark,
+                                        nullptr, bps, 1'500);
+            BandwidthResource pipe("prop.pipe", watermark, nullptr, bps,
+                                   1'500);
             const double cap = bps * ticksToSeconds(kBucket);
             Random rng(seed);
-            Tick watermark = 0;
             std::size_t max_live = 0;
             for (unsigned i = 0; i < 100'000; ++i) {
                 // A monotone watermark, sometimes idle, sometimes
@@ -1190,7 +990,6 @@ TEST(CapacityLedgerProperty, RetirementBehindWatermarkChangesNoBooking)
                 else if (step < 0.501)
                     watermark += kPage * (1 + rng.below(20));
                 link.raiseWatermark(watermark);
-                queue.raiseLedgerWatermark(watermark);
                 Tick at = watermark + rng.below(64 * kBucket);
                 const double where = rng.uniform();
                 if (where < 0.1)
@@ -1257,11 +1056,10 @@ TEST(CapacityLedgerProperty, LateBookingWaitsForTheWatermark)
     EXPECT_EQ(ledger.livePages(), 1u);
 
     // Pipes and links count the wait for the watermark as queueing.
-    EventQueue queue;
-    EventQueue fresh_queue;
-    BandwidthResource pipe("pipe", queue, nullptr, 32e9);
-    BandwidthResource fresh_pipe("fresh", fresh_queue, nullptr, 32e9);
-    queue.raiseLedgerWatermark(3 * kPage);
+    const Tick pipe_watermark = 3 * kPage;
+    const Tick fresh_watermark = 0;
+    BandwidthResource pipe("pipe", pipe_watermark, nullptr, 32e9);
+    BandwidthResource fresh_pipe("fresh", fresh_watermark, nullptr, 32e9);
     EXPECT_EQ(pipe.transferAt(2 * kPage, 64),
               fresh_pipe.transferAt(3 * kPage, 64));
     EXPECT_NEAR(pipe.totalWait(), static_cast<double>(kPage), 1.0);

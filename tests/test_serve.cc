@@ -370,7 +370,7 @@ TEST(ServerTest, StreamsWorkOnAServedDevice)
     Server server(device);
     server.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/1));
     EXPECT_EQ(server.serve().requests, 48u);
-    const Tick watermark = device.chip().eventQueue().ledgerWatermark();
+    const Tick watermark = device.chip().ledgerWatermark();
     ASSERT_GT(watermark, 0u);
 
     ExecutionPlan plan = compile(models::buildResnet50(),
@@ -402,7 +402,7 @@ TEST(ServerTest, SecondServeReplaysFromTickZero)
     Server server(device);
     server.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/1));
     EXPECT_EQ(server.serve().requests, 48u);
-    EXPECT_GT(device.chip().eventQueue().ledgerWatermark(), 0u);
+    EXPECT_GT(device.chip().ledgerWatermark(), 0u);
     server.submit(poissonTrace("resnet50", 2000.0, 48, /*seed=*/2));
     const ServingReport &again = server.serve();
     EXPECT_EQ(again.requests, 48u);

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the event-driven simulation kernel: event queue
- * ordering, clock domains with DVFS-style frequency changes, and the
- * statistics registry.
+ * Unit tests for the simulation kernel: clock domains, the
+ * statistics registry, seeded random streams and logging.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "obs/prometheus.hh"
 #include "runtime/executor.hh"
 #include "sim/clocked.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -28,163 +26,24 @@ namespace
 
 using namespace dtu;
 
-TEST(EventQueue, RunsEventsInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    Event a([&] { order.push_back(1); }, "a");
-    Event b([&] { order.push_back(2); }, "b");
-    Event c([&] { order.push_back(3); }, "c");
-    q.schedule(c, 30);
-    q.schedule(a, 10);
-    q.schedule(b, 20);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, SameTickIsFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    Event a([&] { order.push_back(1); }, "a");
-    Event b([&] { order.push_back(2); }, "b");
-    q.schedule(a, 5);
-    q.schedule(b, 5);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, RescheduleMovesEvent)
-{
-    EventQueue q;
-    int fired_at = -1;
-    Event a([&] { fired_at = static_cast<int>(q.now()); }, "a");
-    q.schedule(a, 10);
-    q.reschedule(a, 50);
-    q.run();
-    EXPECT_EQ(fired_at, 50);
-    EXPECT_EQ(q.executed(), 1u);
-}
-
-TEST(EventQueue, DescheduleCancels)
-{
-    EventQueue q;
-    bool fired = false;
-    Event a([&] { fired = true; }, "a");
-    q.schedule(a, 10);
-    q.deschedule(a);
-    q.run();
-    EXPECT_FALSE(fired);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int count = 0;
-    Event *ptr = nullptr;
-    Event tick(
-        [&] {
-            if (++count < 5)
-                q.scheduleIn(*ptr, 100);
-        },
-        "tick");
-    ptr = &tick;
-    q.schedule(tick, 0);
-    q.run();
-    EXPECT_EQ(count, 5);
-    EXPECT_EQ(q.now(), 400u);
-}
-
-TEST(EventQueue, RunRespectsLimit)
-{
-    EventQueue q;
-    int count = 0;
-    Event a([&] { ++count; }, "a");
-    Event b([&] { ++count; }, "b");
-    q.schedule(a, 10);
-    q.schedule(b, 1000);
-    q.run(500);
-    EXPECT_EQ(count, 1);
-    EXPECT_FALSE(q.empty());
-    q.run();
-    EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, SchedulingInPastPanics)
-{
-    EventQueue q;
-    Event a([] {}, "a");
-    Event b([] {}, "b");
-    q.schedule(a, 100);
-    q.run();
-    EXPECT_THROW(q.schedule(b, 50), PanicError);
-}
-
-TEST(EventQueue, DoubleSchedulePanics)
-{
-    EventQueue q;
-    Event a([] {}, "a");
-    q.schedule(a, 10);
-    EXPECT_THROW(q.schedule(a, 20), PanicError);
-}
-
 TEST(ClockDomain, PeriodMatchesFrequency)
 {
-    EventQueue q;
-    ClockDomain clk(q, 1.0e9); // 1 GHz -> 1000 ps
+    ClockDomain clk(1.0e9); // 1 GHz -> 1000 ps
     EXPECT_EQ(clk.period(), 1000u);
     EXPECT_DOUBLE_EQ(clk.frequency(), 1.0e9);
 }
 
-TEST(ClockDomain, CycleCountingAt1GHz)
-{
-    EventQueue q;
-    ClockDomain clk(q, 1.0e9);
-    EXPECT_EQ(clk.cyclesAt(0), 0u);
-    EXPECT_EQ(clk.cyclesAt(999), 0u);
-    EXPECT_EQ(clk.cyclesAt(1000), 1u);
-    EXPECT_EQ(clk.cyclesAt(123456), 123u);
-}
-
-TEST(ClockDomain, FrequencyChangeKeepsCyclesMonotonic)
-{
-    EventQueue q;
-    ClockDomain clk(q, 1.0e9);
-    q.advanceTo(10'000); // 10 cycles at 1 GHz
-    EXPECT_EQ(clk.curCycle(), 10u);
-    clk.setFrequency(1.4e9); // DVFS step up
-    Cycles at_switch = clk.curCycle();
-    EXPECT_EQ(at_switch, 10u);
-    q.advanceTo(10'000 + 10 * clk.period());
-    EXPECT_EQ(clk.curCycle(), at_switch + 10);
-}
-
 TEST(ClockDomain, TicksForScalesWithFrequency)
 {
-    EventQueue q;
-    ClockDomain slow(q, 1.0e9);
-    ClockDomain fast(q, 2.0e9);
+    ClockDomain slow(1.0e9);
+    ClockDomain fast(2.0e9);
     EXPECT_EQ(slow.ticksFor(100), 2 * fast.ticksFor(100));
-}
-
-TEST(ClockDomain, NextEdgeAligns)
-{
-    EventQueue q;
-    ClockDomain clk(q, 1.0e9);
-    EXPECT_EQ(clk.nextEdge(), 0u);
-    q.advanceTo(1500);
-    EXPECT_EQ(clk.nextEdge(), 2000u);
-    q.advanceTo(2000);
-    EXPECT_EQ(clk.nextEdge(), 2000u);
 }
 
 TEST(ClockDomain, RejectsNonPositiveFrequency)
 {
-    EventQueue q;
-    EXPECT_THROW(ClockDomain(q, 0.0), FatalError);
-    EXPECT_THROW(ClockDomain(q, -1.0), FatalError);
+    EXPECT_THROW(ClockDomain(0.0), FatalError);
+    EXPECT_THROW(ClockDomain(-1.0), FatalError);
 }
 
 TEST(Stats, ScalarAccumulationAndLookup)

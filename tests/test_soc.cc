@@ -139,7 +139,7 @@ TEST(Dtu, BroadcastReachesSiblingGroups)
     desc.dst = MemLevel::L2;
     desc.bytes = 4096;
     desc.broadcast = true;
-    DmaResult r = chip.group(0).dma().submit(desc);
+    DmaResult r = chip.group(0).dma().submitAt(0, desc);
     EXPECT_EQ(r.dstBytes, 3u * 4096u);
 }
 

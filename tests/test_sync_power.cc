@@ -21,9 +21,8 @@ using namespace dtu;
 
 struct SyncHarness
 {
-    EventQueue queue;
     StatRegistry stats;
-    SyncEngine sync{"sync", queue, &stats, /*signal_latency=*/20};
+    SyncEngine sync{"sync", &stats, /*signal_latency=*/20};
 };
 
 TEST(SyncEngine, OneToOneHandoff)
