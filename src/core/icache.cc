@@ -8,6 +8,20 @@
 namespace dtu
 {
 
+namespace
+{
+
+/** The entry for @p kernel_id in @p entries, or entries.end(). */
+template <typename Entries>
+auto
+findKernel(Entries &entries, int kernel_id)
+{
+    return std::find_if(entries.begin(), entries.end(),
+                        [&](const auto &e) { return e.kernel == kernel_id; });
+}
+
+} // namespace
+
 InstructionCache::InstructionCache(std::string name, StatRegistry *stats,
                                    Hbm &hbm, std::uint64_t capacity,
                                    bool cache_mode)
@@ -37,38 +51,40 @@ InstructionCache::insert(int kernel_id, std::uint64_t bytes)
 {
     if (bytes > capacity_)
         return; // oversized kernels stream; nothing is retained
-    std::uint64_t keep = bytes;
-    while (used_ + keep > capacity_ && !lru_.empty()) {
-        int victim = lru_.back();
-        lru_.pop_back();
-        auto it = resident_.find(victim);
-        used_ -= it->second.bytes;
-        resident_.erase(it);
+    // A kernel id reloaded at a new size replaces its old image.
+    if (auto old = findKernel(lru_, kernel_id); old != lru_.end()) {
+        used_ -= old->bytes;
+        lru_.erase(old);
     }
-    if (used_ + keep > capacity_)
-        return; // kernel larger than the whole buffer: nothing retained
-    lru_.push_front(kernel_id);
-    resident_[kernel_id] = Entry{keep, lru_.begin()};
-    used_ += keep;
+    auto victims = lru_.begin();
+    while (used_ + bytes > capacity_) {
+        used_ -= victims->bytes;
+        ++victims;
+    }
+    lru_.erase(lru_.begin(), victims);
+    lru_.push_back({kernel_id, bytes});
+    used_ += bytes;
 }
 
 bool
 InstructionCache::resident(int kernel_id) const
 {
-    return resident_.count(kernel_id) != 0;
+    return findKernel(lru_, kernel_id) != lru_.end();
 }
 
 void
 InstructionCache::prefetchAt(Tick at, int kernel_id, std::uint64_t bytes)
 {
-    if (resident(kernel_id) || inflight_.count(kernel_id))
+    if (resident(kernel_id) ||
+        findKernel(inflight_, kernel_id) != inflight_.end())
         return;
     ++prefetches_;
-    inflight_[kernel_id] = loadTime(at, std::min(bytes, capacity_));
+    const Tick done = loadTime(at, std::min(bytes, capacity_));
+    inflight_.push_back({kernel_id, done});
     if (Tracer *tr = tracer(); tr && tr->enabled()) {
-        tr->span(tr->trackFor(name()),
+        tr->span(traceTrack(),
                  "prefetch kernel" + std::to_string(kernel_id),
-                 "kernel-load", at, inflight_[kernel_id],
+                 "kernel-load", at, done,
                  {{"bytes", static_cast<double>(bytes)}});
     }
 }
@@ -77,21 +93,18 @@ Tick
 InstructionCache::fetchAt(Tick at, int kernel_id, std::uint64_t bytes)
 {
     if (cacheMode_) {
-        auto it = resident_.find(kernel_id);
-        if (it != resident_.end() && it->second.bytes >= std::min(
-                                         bytes, capacity_)) {
-            // Refresh LRU position.
-            lru_.erase(it->second.lruIt);
-            lru_.push_front(kernel_id);
-            it->second.lruIt = lru_.begin();
+        auto it = findKernel(lru_, kernel_id);
+        if (it != lru_.end() && it->bytes >= std::min(bytes, capacity_)) {
+            // Refresh LRU position: move to the most-recent end.
+            std::rotate(it, it + 1, lru_.end());
             ++hits_;
             return at;
         }
     }
     // A pending prefetch absorbs part or all of the load latency.
-    auto pending = inflight_.find(kernel_id);
+    auto pending = findKernel(inflight_, kernel_id);
     if (pending != inflight_.end()) {
-        Tick ready = std::max(at, pending->second);
+        Tick ready = std::max(at, pending->ready);
         inflight_.erase(pending);
         if (cacheMode_)
             insert(kernel_id, bytes);
@@ -107,7 +120,7 @@ InstructionCache::fetchAt(Tick at, int kernel_id, std::uint64_t bytes)
     if (cacheMode_)
         insert(kernel_id, bytes);
     if (Tracer *tr = tracer(); tr && tr->enabled()) {
-        tr->span(tr->trackFor(name()),
+        tr->span(traceTrack(),
                  "load kernel" + std::to_string(kernel_id),
                  "kernel-load", at, ready,
                  {{"bytes", static_cast<double>(head)}});

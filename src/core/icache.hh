@@ -16,8 +16,7 @@
 #define DTU_CORE_ICACHE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/hbm.hh"
 #include "sim/sim_object.hh"
@@ -77,22 +76,34 @@ class InstructionCache : public SimObject
     /** Insert a kernel, evicting LRU entries to make room. */
     void insert(int kernel_id, std::uint64_t bytes);
 
+    /** A kernel image held in the buffer. */
+    struct Entry
+    {
+        int kernel = 0;
+        std::uint64_t bytes = 0;
+    };
+
+    /** A background load in flight. */
+    struct Pending
+    {
+        int kernel = 0;
+        Tick ready = 0;
+    };
+
     Hbm &hbm_;
     std::uint64_t capacity_;
     bool cacheMode_;
     std::uint64_t used_ = 0;
 
-    /** LRU list of resident kernels, most recent first. */
-    std::list<int> lru_;
-    struct Entry
-    {
-        std::uint64_t bytes = 0;
-        std::list<int>::iterator lruIt;
-    };
-    std::unordered_map<int, Entry> resident_;
+    /**
+     * Resident kernels, least recently used first. A buffer holds a
+     * handful of kernels, so a flat scan beats a list plus a map and
+     * allocates nothing per operator.
+     */
+    std::vector<Entry> lru_;
 
-    /** In-flight background loads: kernel id -> completion tick. */
-    std::unordered_map<int, Tick> inflight_;
+    /** In-flight background loads. */
+    std::vector<Pending> inflight_;
 
     Stat hits_;
     Stat misses_;

@@ -289,7 +289,7 @@ DmaEngine::submitOnce(Tick at, const DmaDescriptor &desc)
             label += " ";
             label += transformName(desc.transform);
         }
-        tr->span(tr->trackFor(name()), label, "dma", at, result.done,
+        tr->span(traceTrack(), label, "dma", at, result.done,
                  {{"bytes", static_cast<double>(desc.bytes *
                                                desc.repeatCount)},
                   {"src_bytes", static_cast<double>(result.srcBytes)},

@@ -234,18 +234,28 @@ RequestTracer::onTerminal(unsigned device,
 void
 RequestTracer::recordCounters(const FleetMetricSample &sample)
 {
+    static constexpr const char *kSuffixes[] = {
+        ".queue_depth", ".in_flight_batches", ".outstanding",
+        ".dropped_total", ".batch_retries_total"};
     for (const DeviceMetricSample &d : sample.devices) {
-        const std::string p = "dev" + std::to_string(d.device);
-        tracer_.counter(p + ".queue_depth", "requests", sample.at,
+        if (counterNames_.size() <= d.device)
+            counterNames_.resize(d.device + 1);
+        CounterNames &names = counterNames_[d.device];
+        if (names[0].empty()) {
+            const std::string p = "dev" + std::to_string(d.device);
+            for (std::size_t i = 0; i < names.size(); ++i)
+                names[i] = p + kSuffixes[i];
+        }
+        tracer_.counter(names[0], "requests", sample.at,
                         static_cast<double>(d.queueDepth));
-        tracer_.counter(p + ".in_flight_batches", "batches", sample.at,
+        tracer_.counter(names[1], "batches", sample.at,
                         static_cast<double>(d.inFlightBatches));
-        tracer_.counter(p + ".outstanding", "requests", sample.at,
+        tracer_.counter(names[2], "requests", sample.at,
                         static_cast<double>(d.outstanding));
-        tracer_.counter(p + ".dropped_total", "requests", sample.at,
+        tracer_.counter(names[3], "requests", sample.at,
                         static_cast<double>(d.dropped));
-        tracer_.counter(p + ".batch_retries_total", "retries",
-                        sample.at, static_cast<double>(d.retries));
+        tracer_.counter(names[4], "retries", sample.at,
+                        static_cast<double>(d.retries));
     }
 }
 

@@ -36,6 +36,7 @@
 #ifndef DTU_OBS_REQUEST_TRACER_HH
 #define DTU_OBS_REQUEST_TRACER_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -204,6 +205,9 @@ class RequestTracer : public serve::ServingObserver
     std::map<std::uint64_t, RequestRecord> pending_;
     std::vector<RequestRecord> finished_;
     std::uint64_t sampledSeen_ = 0;
+    /** Each device's five counter-track names, built at first sample. */
+    using CounterNames = std::array<std::string, 5>;
+    std::vector<CounterNames> counterNames_;
 };
 
 } // namespace obs

@@ -14,11 +14,12 @@
 #include <string>
 #include <string_view>
 
+#include "sim/tracer.hh"
+
 namespace dtu
 {
 
 class StatRegistry;
-class Tracer;
 
 /** A named component attached to a stat registry. */
 class SimObject
@@ -58,12 +59,33 @@ class SimObject
 
     /** The timeline tracer, or null (wired by the owning chip). */
     Tracer *tracer() const { return tracer_; }
-    void setTracer(Tracer *tracer) { tracer_ = tracer; }
+    void
+    setTracer(Tracer *tracer)
+    {
+        tracer_ = tracer;
+        track_ = {};
+    }
+
+  protected:
+    /**
+     * This object's track on its tracer, trackFor(name()), resolved
+     * at the first span and kept: engines emit one span per request
+     * and would otherwise split the name and search two maps each
+     * time. Requires a tracer.
+     */
+    TrackId
+    traceTrack()
+    {
+        if (track_.pid == 0)
+            track_ = tracer_->trackFor(name_);
+        return track_;
+    }
 
   private:
     std::string name_;
     StatRegistry *stats_;
     Tracer *tracer_ = nullptr;
+    TrackId track_; ///< pid 0: not resolved yet
 };
 
 } // namespace dtu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -46,6 +47,25 @@ Tracer::trackFor(const std::string &hierarchical_name)
                  hierarchical_name.substr(dot + 1));
 }
 
+Tracer::StringId
+Tracer::Store::intern(std::string_view text)
+{
+    auto it = ids.find(text);
+    if (it != ids.end())
+        return it->second;
+    const auto id = static_cast<StringId>(strings.size());
+    ids.emplace(strings.emplace_back(text), id);
+    return id;
+}
+
+Tracer::Store &
+Tracer::store()
+{
+    if (!store_)
+        store_ = std::make_unique<Store>();
+    return *store_;
+}
+
 std::uint32_t
 Tracer::counterPid(const std::string &counter_name)
 {
@@ -62,6 +82,32 @@ Tracer::trackCount() const
     return threads_.size() + counters_.size();
 }
 
+Tracer::TraceEvent &
+Tracer::record(Kind kind, TrackId track, const std::string &name,
+               const std::string &category, Tick start, Tick end,
+               const TraceArgs &args)
+{
+    fatalIf(args.size() > std::numeric_limits<std::uint16_t>::max(),
+            "trace event '", name, "' has ", args.size(),
+            " args; at most 65535 are kept");
+    Store &s = store();
+    TraceEvent &e = s.events.emplace_back();
+    e.kind = kind;
+    e.pid = track.pid;
+    e.tid = track.tid;
+    e.name = s.intern(name);
+    e.category = s.intern(category);
+    e.start = start;
+    e.end = end;
+    e.argsBegin = static_cast<std::uint32_t>(s.argKeys.size());
+    e.argCount = static_cast<std::uint16_t>(args.size());
+    for (const auto &[key, value] : args) {
+        s.argKeys.push_back(s.intern(key));
+        s.argValues.push_back(value);
+    }
+    return e;
+}
+
 void
 Tracer::span(TrackId track, const std::string &name,
              const std::string &category, Tick start, Tick end,
@@ -69,18 +115,8 @@ Tracer::span(TrackId track, const std::string &name,
 {
     if (!enabled_)
         return;
-    if (end < start)
-        end = start;
-    TraceEvent e;
-    e.kind = Kind::Span;
-    e.pid = track.pid;
-    e.tid = track.tid;
-    e.name = name;
-    e.category = category;
-    e.start = start;
-    e.end = end;
-    e.args = std::move(args);
-    events_.push_back(std::move(e));
+    record(Kind::Span, track, name, category, start, std::max(start, end),
+           args);
 }
 
 void
@@ -89,16 +125,7 @@ Tracer::instant(TrackId track, const std::string &name,
 {
     if (!enabled_)
         return;
-    TraceEvent e;
-    e.kind = Kind::Instant;
-    e.pid = track.pid;
-    e.tid = track.tid;
-    e.name = name;
-    e.category = category;
-    e.start = at;
-    e.end = at;
-    e.args = std::move(args);
-    events_.push_back(std::move(e));
+    record(Kind::Instant, track, name, category, at, at, args);
 }
 
 void
@@ -107,16 +134,15 @@ Tracer::counter(const std::string &counter_name,
 {
     if (!enabled_)
         return;
-    TraceEvent e;
+    Store &s = store();
+    TraceEvent &e = s.events.emplace_back();
     e.kind = Kind::Counter;
     e.pid = counterPid(counter_name);
-    e.tid = 0;
-    e.name = counter_name;
+    e.name = s.intern(counter_name);
+    e.category = s.intern(series_key);
     e.start = at;
     e.end = at;
     e.value = value;
-    e.seriesKey = series_key;
-    events_.push_back(std::move(e));
 }
 
 void
@@ -126,17 +152,9 @@ Tracer::flow(TrackId track, const std::string &name,
 {
     if (!enabled_)
         return;
-    TraceEvent e;
-    e.kind = Kind::Flow;
-    e.pid = track.pid;
-    e.tid = track.tid;
-    e.name = name;
-    e.category = category;
-    e.start = at;
-    e.end = at;
+    TraceEvent &e = record(Kind::Flow, track, name, category, at, at, {});
     e.flowId = flow_id;
     e.flowPhase = phase;
-    events_.push_back(std::move(e));
 }
 
 void
@@ -198,14 +216,16 @@ Tracer::writeTrackMetadata(JsonWriter &json, std::uint32_t pid_offset,
 
 void
 Tracer::writeEvent(JsonWriter &json, const TraceEvent &e,
-                   std::uint32_t pid_offset)
+                   std::uint32_t pid_offset) const
 {
+    const std::string &name = str(e.name);
+    const std::string &category = str(e.category);
     json.beginObject();
     switch (e.kind) {
       case Kind::Span:
         json.field("ph", "X")
-            .field("name", e.name)
-            .field("cat", e.category.empty() ? "span" : e.category)
+            .field("name", name)
+            .field("cat", category.empty() ? "span" : category)
             .field("pid", static_cast<std::uint64_t>(e.pid + pid_offset))
             .field("tid", static_cast<std::uint64_t>(e.tid))
             .field("ts", ticksToTraceUs(e.start))
@@ -213,8 +233,8 @@ Tracer::writeEvent(JsonWriter &json, const TraceEvent &e,
         break;
       case Kind::Instant:
         json.field("ph", "i")
-            .field("name", e.name)
-            .field("cat", e.category.empty() ? "event" : e.category)
+            .field("name", name)
+            .field("cat", category.empty() ? "event" : category)
             .field("s", "t") // thread-scoped instant
             .field("pid", static_cast<std::uint64_t>(e.pid + pid_offset))
             .field("tid", static_cast<std::uint64_t>(e.tid))
@@ -222,7 +242,7 @@ Tracer::writeEvent(JsonWriter &json, const TraceEvent &e,
         break;
       case Kind::Counter:
         json.field("ph", "C")
-            .field("name", e.name)
+            .field("name", name)
             .field("pid", static_cast<std::uint64_t>(e.pid + pid_offset))
             .field("tid", std::uint64_t{0})
             .field("ts", ticksToTraceUs(e.start));
@@ -231,8 +251,8 @@ Tracer::writeEvent(JsonWriter &json, const TraceEvent &e,
         json.field("ph", e.flowPhase == FlowPhase::Start  ? "s"
                          : e.flowPhase == FlowPhase::Step ? "t"
                                                           : "f")
-            .field("name", e.name)
-            .field("cat", e.category.empty() ? "flow" : e.category)
+            .field("name", name)
+            .field("cat", category.empty() ? "flow" : category)
             .field("id", e.flowId)
             .field("pid", static_cast<std::uint64_t>(e.pid + pid_offset))
             .field("tid", static_cast<std::uint64_t>(e.tid))
@@ -247,12 +267,13 @@ Tracer::writeEvent(JsonWriter &json, const TraceEvent &e,
     if (e.kind == Kind::Counter) {
         json.key("args")
             .beginObject()
-            .field(e.seriesKey.empty() ? "value" : e.seriesKey, e.value)
+            .field(category.empty() ? "value" : category, e.value)
             .endObject();
-    } else if (!e.args.empty()) {
+    } else if (e.argCount > 0) {
         json.key("args").beginObject();
-        for (const auto &[k, v] : e.args)
-            json.field(k, v);
+        for (std::uint32_t i = e.argsBegin; i < e.argsBegin + e.argCount;
+             ++i)
+            json.field(str(store_->argKeys[i]), store_->argValues[i]);
         json.endObject();
     }
     json.endObject();
@@ -281,10 +302,11 @@ Tracer::exportMergedChromeTrace(const std::vector<ExportPart> &parts,
     // Sort by start tick (stable: part order then emission order
     // breaks ties) so the file is monotonic in `ts`, which
     // simplifies diffing and lets consumers stream it.
-    std::vector<std::pair<const TraceEvent *, std::uint32_t>> ordered;
+    std::vector<std::pair<const TraceEvent *, std::size_t>> ordered;
     for (std::size_t k = 0; k < parts.size(); ++k)
-        for (const TraceEvent &e : parts[k].tracer->events_)
-            ordered.emplace_back(&e, offsets[k]);
+        if (const auto &store = parts[k].tracer->store_)
+            for (const TraceEvent &e : store->events)
+                ordered.emplace_back(&e, k);
     std::stable_sort(ordered.begin(), ordered.end(),
                      [](const auto &a, const auto &b) {
                          return a.first->start < b.first->start;
@@ -300,8 +322,8 @@ Tracer::exportMergedChromeTrace(const std::vector<ExportPart> &parts,
         parts[k].tracer->writeTrackMetadata(json, offsets[k],
                                             parts[k].label);
 
-    for (const auto &[e, offset] : ordered)
-        writeEvent(json, *e, offset);
+    for (const auto &[e, k] : ordered)
+        parts[k].tracer->writeEvent(json, *e, offsets[k]);
 
     json.endArray();
     json.endObject();
@@ -315,7 +337,7 @@ Tracer::writeChromeTrace(const std::string &path) const
     fatalIf(!file, "cannot open trace output file '", path, "'");
     exportChromeTrace(file);
     fatalIf(!file.good(), "error writing trace to '", path, "'");
-    inform(csprintf("wrote timeline trace (", events_.size(),
+    inform(csprintf("wrote timeline trace (", eventCount(),
                     " events, ", trackCount(), " tracks) to ", path));
 }
 

@@ -29,9 +29,13 @@
 #define DTU_SIM_TRACER_HH
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,7 +62,7 @@ using TraceArgs = std::vector<std::pair<std::string, double>>;
  * Start, any number of Steps, and one End; each binds to the slice
  * enclosing its timestamp on its track.
  */
-enum class FlowPhase
+enum class FlowPhase : std::uint8_t
 {
     Start, ///< ph "s" — arrow tail
     Step,  ///< ph "t" — intermediate hop
@@ -121,13 +125,16 @@ class Tracer
               std::uint64_t flow_id, FlowPhase phase);
 
     /** Events recorded so far (spans + instants + counter samples). */
-    std::size_t eventCount() const { return events_.size(); }
+    std::size_t eventCount() const
+    {
+        return store_ ? store_->events.size() : 0;
+    }
 
     /** Distinct (process, thread) tracks created so far. */
     std::size_t trackCount() const;
 
     /** Drop all recorded events (track ids remain valid). */
-    void clear() { events_.clear(); }
+    void clear() { store_.reset(); }
 
     /**
      * Export everything as Chrome trace-event JSON. Events are sorted
@@ -168,7 +175,7 @@ class Tracer
                                        const std::string &path);
 
   private:
-    enum class Kind
+    enum class Kind : std::uint8_t
     {
         Span,
         Instant,
@@ -176,21 +183,67 @@ class Tracer
         Flow,
     };
 
+    /** Index into the intern table: each distinct name is stored once. */
+    using StringId = std::uint32_t;
+
+    /**
+     * One recorded event in 48 bytes: names are ids into the intern
+     * table and args are a run of the pooled args, so a chip's few
+     * thousand events per serve cost hundreds of kilobytes, not
+     * megabytes.
+     */
     struct TraceEvent
     {
-        Kind kind = Kind::Span;
-        std::uint32_t pid = 0;
-        std::uint32_t tid = 0;
-        std::string name;
-        std::string category;
         Tick start = 0;
         Tick end = 0;
-        double value = 0.0; ///< counter sample value
-        std::string seriesKey;
-        std::uint64_t flowId = 0;
+        union
+        {
+            double value = 0.0;   ///< counter sample value
+            std::uint64_t flowId; ///< flow arrow id
+        };
+        std::uint32_t pid = 0;
+        std::uint32_t tid = 0;
+        StringId name = 0;
+        StringId category = 0; ///< a counter's series key
+        std::uint32_t argsBegin = 0; ///< first arg's index in the pool
+        std::uint16_t argCount = 0;
+        Kind kind = Kind::Span;
         FlowPhase flowPhase = FlowPhase::Start;
-        TraceArgs args;
     };
+    static_assert(sizeof(TraceEvent) == 48);
+
+    /**
+     * The recorded events, their args and the intern table. It is
+     * allocated at the first event: most chips never trace, and a
+     * larger Tracer made every Dtu, which embeds one, slower to build
+     * (EXPERIMENTS.md, "Chip construction and the size of `Dtu`").
+     */
+    struct Store
+    {
+        /** Interned strings; a deque keeps the views in `ids` valid. */
+        std::deque<std::string> strings;
+        std::unordered_map<std::string_view, StringId> ids;
+        /** Chunked, so growth never copies (or doubles) the store. */
+        std::deque<TraceEvent> events;
+        /** The pooled args, keys and values apart (12 bytes an arg). */
+        std::deque<StringId> argKeys;
+        std::deque<double> argValues;
+
+        /** The id of @p text, added to the table on first sight. */
+        StringId intern(std::string_view text);
+    };
+
+    /** The store, allocated on first use. */
+    Store &store();
+    const std::string &str(StringId id) const
+    {
+        return store_->strings[id];
+    }
+
+    /** Append a span, instant or flow event with its args. */
+    TraceEvent &record(Kind kind, TrackId track, const std::string &name,
+                       const std::string &category, Tick start, Tick end,
+                       const TraceArgs &args);
 
     /** pid for a counter track, all grouped under one process. */
     std::uint32_t counterPid(const std::string &counter_name);
@@ -207,15 +260,15 @@ class Tracer
                             const std::string &label_prefix) const;
 
     /** One event record, pids shifted by @p pid_offset. */
-    static void writeEvent(JsonWriter &json, const TraceEvent &e,
-                           std::uint32_t pid_offset);
+    void writeEvent(JsonWriter &json, const TraceEvent &e,
+                    std::uint32_t pid_offset) const;
 
     bool enabled_ = false;
     std::map<std::string, std::uint32_t> processes_;
     /** (pid, thread name) -> tid. */
     std::map<std::pair<std::uint32_t, std::string>, std::uint32_t> threads_;
     std::map<std::string, std::uint32_t> counters_;
-    std::vector<TraceEvent> events_;
+    std::unique_ptr<Store> store_;
 };
 
 /**

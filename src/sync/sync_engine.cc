@@ -48,7 +48,7 @@ SyncEngine::waitUntil(int sem, unsigned count, Tick at)
     ++waits_;
     waitTicks_ += static_cast<double>(released - at);
     if (Tracer *tr = tracer(); tr && tr->enabled() && released > at) {
-        tr->span(tr->trackFor(name()),
+        tr->span(traceTrack(),
                  "wait sem" + std::to_string(sem), "sync", at, released,
                  {{"count", static_cast<double>(count)}});
     }

@@ -550,6 +550,61 @@ TEST(FlightRecorder, RingsAreBounded)
 }
 
 //
+// Merged export bytes.
+//
+
+/** FNV-1a (64-bit) of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(RequestTrace, MergedExportMatchesParent)
+{
+    // A fixed 4-chip ResNet50/BERT-Large mix with the SLO, request
+    // (p=0.1) and energy observers attached. The digest pins the
+    // merged Chrome trace byte for byte: it was recorded with the
+    // string-per-event trace store, so a change to how the Tracer
+    // stores events must leave every exported byte alone, at any
+    // thread count.
+    constexpr std::uint64_t kDigest = 0x9d60e9e5a286fb27ull;
+    for (unsigned threads : {1u, 4u}) {
+        serve::FleetConfig config;
+        config.devices = 4;
+        config.routing = serve::RoutingPolicy::LeastOutstanding;
+        config.threads = threads;
+        config.serving.batching.maxBatch = 8;
+        config.serving.batching.maxQueueDelay = secondsToTicks(2e-3);
+        config.serving.batching.perModelMaxBatch["bert_large"] = 1;
+        config.serving.groupsPerBatch = 1;
+        FleetServer fleet(config);
+        fleet.enableSloMonitor({});
+        fleet.enableRequestTracing({.sampleRate = 0.1, .seed = 3});
+        fleet.enableEnergyMonitor({});
+        fleet.submit(serve::finalizeTrace(
+            {serve::poissonTrace("resnet50", 12000, 96, /*seed=*/31,
+                                 secondsToTicks(20e-3)),
+             serve::poissonTrace("bert_large", 4000, 32, /*seed=*/32,
+                                 secondsToTicks(80e-3))}));
+        fleet.serveFleet();
+
+        std::ostringstream os;
+        fleet.exportFleetTrace(os);
+        EXPECT_GT(os.str().size(), 100000u) << "threads=" << threads;
+        EXPECT_EQ(fnv1a(os.str()), kDigest)
+            << "threads=" << threads << " trace digest 0x" << std::hex
+            << fnv1a(os.str()) << " over " << std::dec
+            << os.str().size() << " bytes";
+    }
+}
+
+//
 // Single-device Server facade.
 //
 

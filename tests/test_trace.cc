@@ -116,6 +116,95 @@ TEST(Tracer, NegativeDurationClampsToZero)
     }
 }
 
+/** Record a fixed mix of events that exercises the store's corners. */
+void
+recordCornerCases(Tracer &tracer, const std::string &long_name)
+{
+    TrackId t = tracer.track("proc", "thr");
+    // Repeated names and categories, and one long name.
+    for (int i = 0; i < 3; ++i)
+        tracer.span(t, "op", "compute", 10 * i, 10 * i + 5,
+                    {{"i", static_cast<double>(i)}});
+    tracer.span(t, long_name, "compute", 40, 45);
+    // Empty categories fall back per kind.
+    tracer.span(t, "bare span", "", 50, 55);
+    tracer.instant(t, "bare instant", "", 60);
+    tracer.flow(t, "bare flow", "", 50, 77, FlowPhase::Start);
+    // An empty series key falls back to "value".
+    tracer.counter("ctr", "", 70, 1.5);
+    tracer.counter("ctr", "GHz", 80, 2.5);
+    // Args keep their order, including a repeated key.
+    tracer.instant(t, "ordered", "misc", 90,
+                   {{"z", 1.0}, {"a", 2.0}, {"m", 3.0}, {"a", 4.0}});
+}
+
+TEST(Tracer, InternedStoreKeepsNamesFallbacksAndArgOrder)
+{
+    const std::string long_name(300, 'x');
+    Tracer tracer;
+    tracer.setEnabled(true);
+    recordCornerCases(tracer, long_name);
+    EXPECT_EQ(tracer.eventCount(), 10u);
+    std::ostringstream first;
+    tracer.exportChromeTrace(first);
+
+    JValue doc = parseJson(first.str());
+    const JValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::map<std::string, const JValue *> by_name;
+    std::vector<const JValue *> counters;
+    int ops = 0;
+    for (const JValue &e : events->items) {
+        if (e.str("ph") == "M")
+            continue;
+        if (e.str("ph") == "C") {
+            counters.push_back(&e);
+            continue;
+        }
+        if (e.str("name") == "op") {
+            const JValue *args = e.find("args");
+            ASSERT_NE(args, nullptr);
+            EXPECT_EQ(args->num("i"), static_cast<double>(ops++));
+            EXPECT_EQ(e.str("cat"), "compute");
+        }
+        by_name[e.str("name")] = &e;
+    }
+    EXPECT_EQ(ops, 3);
+    ASSERT_TRUE(by_name.count(long_name));
+    EXPECT_EQ(by_name.at(long_name)->str("cat"), "compute");
+    EXPECT_EQ(by_name.at("bare span")->str("cat"), "span");
+    EXPECT_EQ(by_name.at("bare instant")->str("cat"), "event");
+    EXPECT_EQ(by_name.at("bare flow")->str("cat"), "flow");
+    EXPECT_EQ(by_name.at("bare flow")->num("id"), 77.0);
+
+    ASSERT_EQ(counters.size(), 2u);
+    for (const JValue *c : counters)
+        EXPECT_EQ(c->str("name"), "ctr");
+    const JValue *unkeyed = counters[0]->find("args");
+    ASSERT_NE(unkeyed, nullptr);
+    ASSERT_EQ(unkeyed->members.size(), 1u);
+    EXPECT_EQ(unkeyed->members[0].first, "value");
+    EXPECT_EQ(unkeyed->members[0].second.number, 1.5);
+    EXPECT_EQ(counters[1]->find("args")->members[0].first, "GHz");
+
+    const JValue *ordered = by_name.at("ordered")->find("args");
+    ASSERT_NE(ordered, nullptr);
+    std::vector<std::pair<std::string, double>> got;
+    for (const auto &[k, v] : ordered->members)
+        got.emplace_back(k, v.number);
+    EXPECT_EQ(got, (std::vector<std::pair<std::string, double>>{
+                       {"z", 1.0}, {"a", 2.0}, {"m", 3.0}, {"a", 4.0}}));
+
+    // clear() drops the events but keeps tracks; recording the same
+    // events again exports the same bytes.
+    tracer.clear();
+    EXPECT_EQ(tracer.eventCount(), 0u);
+    recordCornerCases(tracer, long_name);
+    std::ostringstream second;
+    tracer.exportChromeTrace(second);
+    EXPECT_EQ(second.str(), first.str());
+}
+
 TEST(Tracer, ChromeTraceHasAllTrackTypes)
 {
     TracedRun run;
