@@ -35,39 +35,67 @@ CapacityLedger::CapacityLedger(double bytes_per_second, unsigned lanes)
     exactBelow_ = sig ? std::ldexp(1.0, exp + std::countr_zero(sig)) : 0.0;
 }
 
+CapacityLedger::PagePool &
+CapacityLedger::pool()
+{
+    if (!pool_) {
+        ownPool_ = std::make_unique<PagePool>(kOwnPoolPages);
+        pool_ = ownPool_.get();
+    }
+    return *pool_;
+}
+
+void
+CapacityLedger::sharePool(PagePool &pool)
+{
+    fatalIf(!pages_.empty(), "a capacity ledger holding ", pages_.size(),
+            " pages cannot switch page pools");
+    ownPool_.reset();
+    pool_ = &pool;
+}
+
+std::vector<CapacityLedger::LivePage>::iterator
+CapacityLedger::firstPageFrom(std::uint64_t page_no)
+{
+    return std::lower_bound(
+        pages_.begin(), pages_.end(), page_no,
+        [](const LivePage &p, std::uint64_t no) { return p.no < no; });
+}
+
 CapacityLedger::Page &
 CapacityLedger::pageFor(std::uint64_t page_no)
 {
-    if (auto it = pages_.find(page_no); it != pages_.end())
-        return it->second;
-    if (spares_.empty())
-        return pages_[page_no];
-    // A spare is reset here rather than as it retires: its memory is
-    // about to be written, and its partial lists keep their capacity.
-    PageMap::node_type node = std::move(spares_.back());
-    spares_.pop_back();
-    node.key() = page_no;
-    Page &page = node.mapped();
-    page.saturated.fill(0);
-    page.occupied.fill(0);
-    page.partialSlots.clear();
-    page.partialUsed.clear();
-    page.index.clear();
-    return pages_.insert(std::move(node)).position->second;
+    auto it = pages_.end();
+    if (!pages_.empty() && pages_.back().no >= page_no) {
+        it = firstPageFrom(page_no);
+        if (it->no == page_no)
+            return *it->page;
+    }
+    std::unique_ptr<Page> page = pool().take();
+    if (!page) {
+        page = std::make_unique<Page>();
+    } else {
+        // A pooled page is reset here rather than as it retires: its
+        // memory is about to be written, and its partial lists keep
+        // their capacity.
+        page->saturated.fill(0);
+        page->occupied.fill(0);
+        page->partialSlots.clear();
+        page->partialUsed.clear();
+    }
+    return *pages_.insert(it, LivePage{page_no, std::move(page)})->page;
 }
 
 void
 CapacityLedger::retireBelow(std::uint64_t page_no)
 {
-    for (auto it = pages_.begin(); it != pages_.end();) {
-        if (it->first >= page_no) {
-            ++it;
-            continue;
-        }
-        PageMap::node_type node = pages_.extract(it++);
-        if (spares_.size() < kSparePages)
-            spares_.push_back(std::move(node));
-    }
+    if (pages_.empty() || pages_.front().no >= page_no)
+        return;
+    const auto end = firstPageFrom(page_no);
+    PagePool &to = pool();
+    for (auto it = pages_.begin(); it != end; ++it)
+        to.give(std::move(it->page));
+    pages_.erase(pages_.begin(), end);
     if (cachedPageNo_ < page_no) {
         cachedPageNo_ = ~std::uint64_t{0};
         cachedPage_ = nullptr;
@@ -82,6 +110,39 @@ CapacityLedger::raiseWatermark(Tick watermark)
             retireBelow(watermark / kPageTicks);
         watermark_ = watermark;
     }
+}
+
+void
+CapacityLedger::restart()
+{
+    retireBelow(~std::uint64_t{0});
+    watermark_ = 0;
+    std::fill(freeAt_.begin(), freeAt_.end(), Tick{0});
+}
+
+std::unique_ptr<CapacityLedger::Page>
+CapacityLedger::PagePool::take()
+{
+    if (pages_.empty())
+        return nullptr;
+    std::unique_ptr<Page> page = std::move(pages_.back());
+    pages_.pop_back();
+    return page;
+}
+
+void
+CapacityLedger::PagePool::give(std::unique_ptr<Page> page)
+{
+    if (pages_.size() >= maxPages_)
+        return;
+    // Only the list headers are read: the bitmaps stay cold until reuse.
+    // (Assigning a temporary frees the buffer; `= {}` would keep it.)
+    page->index = std::vector<std::uint16_t>();
+    if (page->partialSlots.capacity() > kKeptPartials)
+        page->partialSlots = std::vector<std::uint16_t>();
+    if (page->partialUsed.capacity() > kKeptPartials)
+        page->partialUsed = std::vector<double>();
+    pages_.push_back(std::move(page));
 }
 
 Tick

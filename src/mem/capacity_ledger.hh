@@ -9,7 +9,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -40,10 +40,15 @@ namespace dtu
  * lane books exactly as its own one-lane ledger would, but the lanes
  * share one set of pages, and bookLanes() books a striped transfer on
  * every lane in one walk (DESIGN.md §4b, "Lanes").
+ *
+ * Retired pages go to a PagePool and new pages come from it. A ledger
+ * keeps its own pool unless it is given a shared one (sharePool()).
  */
 class CapacityLedger
 {
   public:
+    class PagePool;
+
     static constexpr Tick kBucketTicks = 50'000; // 50 ns
     static constexpr std::uint64_t kPageBuckets = 4096;
     static constexpr Tick kPageTicks = kPageBuckets * kBucketTicks;
@@ -92,21 +97,33 @@ class CapacityLedger
     /** Pages held: touched by a booking and not yet retired. */
     std::size_t livePages() const { return pages_.size(); }
 
-    /** Drop every booking and the watermark: idle from tick 0 again. */
-    void restart() { *this = CapacityLedger(bytesPerSecond_, lanes_); }
+    /**
+     * Keep the highest watermark seen, retiring the pages wholly below
+     * it, as a booking with @p watermark does first. Nothing booked
+     * changes.
+     */
+    void raiseWatermark(Tick watermark);
+
+    /**
+     * Draw pages from @p pool and retire them to it from now on, in
+     * place of this ledger's own pool. Every ledger sharing a pool
+     * must be booked on one thread, and @p pool must outlive them.
+     * Only a ledger that holds no page can switch.
+     */
+    void sharePool(PagePool &pool);
+
+    /**
+     * Drop every booking and the watermark: idle from tick 0 again.
+     * The pages held go to the pool.
+     */
+    void restart();
 
   private:
     /** Reads buckets back for the reference-model property test. */
     friend struct CapacityLedgerProbe;
 
-    /**
-     * Retired page nodes kept for reuse; the rest are freed. A launch
-     * books its whole timeline at once, tens of pages past the
-     * watermark, so pages are created and retired in bursts. A spare
-     * keeps the capacity of its partial lists (at most kPageBuckets
-     * entries), so a reused page does not grow them again.
-     */
-    static constexpr std::size_t kSparePages = 64;
+    /** Most pages a ledger's own pool keeps. */
+    static constexpr std::size_t kOwnPoolPages = 64;
 
     /**
      * A bucket in neither bitmap is empty on every lane (0.0 bytes
@@ -142,16 +159,24 @@ class CapacityLedger
      */
     static constexpr std::size_t kIndexAbove = 32;
 
-    using PageMap = std::unordered_map<std::uint64_t, Page>;
+    /** A live page and its number. */
+    struct LivePage
+    {
+        std::uint64_t no;
+        std::unique_ptr<Page> page;
+    };
 
-    /** The live page @p page_no, made (from a spare) if new. */
+    /** The first live page numbered @p page_no or higher. */
+    std::vector<LivePage>::iterator firstPageFrom(std::uint64_t page_no);
+
+    /** The live page @p page_no, made (from the pool) if new. */
     Page &pageFor(std::uint64_t page_no);
 
-    /** Retire every page below @p page_no. */
+    /** Retire every page below @p page_no to the pool. */
     void retireBelow(std::uint64_t page_no);
 
-    /** Keep the highest watermark, retiring the pages it passed. */
-    void raiseWatermark(Tick watermark);
+    /** The pool pages come from, made on first use if not shared. */
+    PagePool &pool();
 
     /**
      * One booking of @p bytes[l] on each lane l, at or after the
@@ -174,9 +199,15 @@ class CapacityLedger
      * 2^q is the lowest set bit of cap_.
      */
     double exactBelow_;
-    PageMap pages_;
-    /** Retired page nodes, reset on reuse; at most kSparePages. */
-    std::vector<PageMap::node_type> spares_;
+    /**
+     * The live pages, by ascending number: a walk mostly moves
+     * forward, so a new page is usually appended, and retirement
+     * takes a prefix.
+     */
+    std::vector<LivePage> pages_;
+    /** The shared pool or ownPool_; null until first needed. */
+    PagePool *pool_ = nullptr;
+    std::unique_ptr<PagePool> ownPool_;
     /**
      * Highest watermark seen: pages wholly below it are retired, and
      * no booking starts before it.
@@ -187,6 +218,46 @@ class CapacityLedger
     Page *cachedPage_ = nullptr;
     /** Latest completion booked on each lane. */
     std::vector<Tick> freeAt_;
+};
+
+/**
+ * Retired pages kept for reuse. A launch books its whole timeline at
+ * once, tens of pages past the watermark, so pages are made and retired
+ * in bursts. A chip's ledgers share one pool (Dtu), so the pages one
+ * ledger retires serve the next burst of any other.
+ *
+ * A pooled page keeps its bitmaps and its partial lists untouched
+ * until reuse, except that it frees its index and any partial list
+ * with room for more than kKeptPartials entries: few pages grow them,
+ * and a pool whose pages kept them would soon hold the largest list
+ * every ledger ever grew (DESIGN.md §4b).
+ */
+class CapacityLedger::PagePool
+{
+  public:
+    /** Most entries a pooled page's partial lists keep room for. */
+    static constexpr std::size_t kKeptPartials = 256;
+
+    /** Keep at most @p max_pages pages and free the rest. */
+    explicit PagePool(std::size_t max_pages = ~std::size_t{0})
+        : maxPages_(max_pages)
+    {}
+
+    /** Pages held for reuse. */
+    std::size_t pages() const { return pages_.size(); }
+
+  private:
+    friend class CapacityLedger;
+    friend struct CapacityLedgerProbe;
+
+    /** A page for reuse, not yet reset, or null if none is held. */
+    std::unique_ptr<Page> take();
+
+    /** Keep @p page for reuse, or free it if the pool is full. */
+    void give(std::unique_ptr<Page> page);
+
+    std::size_t maxPages_;
+    std::vector<std::unique_ptr<Page>> pages_;
 };
 
 } // namespace dtu

@@ -73,6 +73,7 @@ Dtu::Dtu(const DtuConfig &config)
         }
     }
     cpme_->setTracer(&tracer_);
+    forEachLedger([this](CapacityLedger &l) { l.sharePool(ledgerPool_); });
 
     // Wire every engine that emits timeline events to the chip tracer.
     for (auto &cluster : clusters_) {
@@ -126,6 +127,14 @@ Dtu::ledgerPages()
     std::size_t pages = 0;
     forEachLedger([&pages](CapacityLedger &l) { pages += l.livePages(); });
     return pages;
+}
+
+void
+Dtu::retireLedgerPages(Tick watermark)
+{
+    forEachLedger([watermark](CapacityLedger &l) {
+        l.raiseWatermark(watermark);
+    });
 }
 
 void

@@ -2,7 +2,8 @@
  * @file
  * The full DTU system-on-chip (Fig. 2).
  *
- * A Dtu owns its ledger watermark, one statistics registry, the L3 HBM,
+ * A Dtu owns its ledger watermark and the page pool its ledgers
+ * share, one statistics registry, the L3 HBM,
  * the PCIe host link, per-cluster core clock domains (DVFS acts on
  * the core clocks), a fixed DMA clock, the clusters of processing
  * groups, the central power management engine, and the chip-level
@@ -18,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "mem/capacity_ledger.hh"
 #include "power/cpme.hh"
 #include "power/power_event.hh"
 #include "power/power_model.hh"
@@ -75,9 +77,20 @@ class Dtu
      * book anywhere.
      */
     Tick ledgerWatermark() const { return ledgerWatermark_; }
+
+    /**
+     * Raise the watermark to @p at if higher. A raise into a later
+     * page retires every ledger's pages wholly below it to the chip's
+     * page pool at once, idle ledgers included; each ledger's next
+     * booking passes the same watermark, so no booking changes.
+     * Call it on the thread that books the chip.
+     */
     void
     raiseLedgerWatermark(Tick at)
     {
+        if (at / CapacityLedger::kPageTicks >
+            ledgerWatermark_ / CapacityLedger::kPageTicks)
+            retireLedgerPages(at);
         ledgerWatermark_ = std::max(ledgerWatermark_, at);
     }
     StatRegistry &stats() { return stats_; }
@@ -103,15 +116,20 @@ class Dtu
     ComputeCore &core(unsigned cid);
 
     /**
-     * Ledger pages held across the chip's ledgers. Pages retire behind
-     * the serving scheduler's watermark, so a long serve keeps this
-     * flat.
+     * Ledger pages held live across the chip's ledgers: pages at or
+     * above the watermark that a booking touched. Every ledger retires
+     * the pages below it whenever the serving scheduler raises the
+     * watermark into a new page, so a long serve keeps this flat.
      */
     std::size_t ledgerPages();
 
+    /** Retired ledger pages the chip's ledgers keep for reuse. */
+    std::size_t ledgerPoolPages() const { return ledgerPool_.pages(); }
+
     /**
      * Drop every ledger's bookings and the watermark: the chip's
-     * contention timeline starts again, idle, from tick 0.
+     * contention timeline starts again, idle, from tick 0. The pages
+     * held go to the chip's page pool.
      */
     void restartLedgers();
 
@@ -185,9 +203,17 @@ class Dtu
      */
     void forEachLedger(const std::function<void(CapacityLedger &)> &f);
 
+    /** Retire every ledger's pages wholly below @p watermark. */
+    void retireLedgerPages(Tick watermark);
+
     DtuConfig config_;
     /** Every pipe of the chip holds a reference to it. */
     Tick ledgerWatermark_ = 0;
+    /**
+     * The pages every ledger of the chip retires and reuses. They are
+     * all booked on the chip's one thread, so it needs no lock.
+     */
+    CapacityLedger::PagePool ledgerPool_;
     StatRegistry stats_;
     Tracer tracer_;
     std::unique_ptr<Hbm> hbm_;

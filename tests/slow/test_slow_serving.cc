@@ -115,7 +115,7 @@ TEST(SlowFaultServing, LongFaultedRunReplaysBitForBit)
 /**
  * Serve @p count one-shot resnet50 requests on a 2-device fleet at
  * threads=2; check every request terminated exactly once and return
- * the ledger pages the chips still hold.
+ * the ledger pages the chips still hold, live or pooled for reuse.
  */
 std::size_t
 soakLedgerPages(unsigned count)
@@ -136,7 +136,8 @@ soakLedgerPages(unsigned count)
     EXPECT_EQ(report.fleet.submitted, count);
     std::size_t pages = 0;
     for (unsigned d = 0; d < fleet.size(); ++d)
-        pages += fleet.device(d).chip().ledgerPages();
+        pages += fleet.device(d).chip().ledgerPages() +
+                 fleet.device(d).chip().ledgerPoolPages();
     return pages;
 }
 

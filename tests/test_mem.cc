@@ -334,6 +334,69 @@ TEST(Dtu, SharedLedgersCountAndRestartOnce)
     EXPECT_EQ(chip.ledgerPages(), 2u);
 }
 
+TEST(Dtu, RestartKeepsTheLedgerPagePool)
+{
+    // Restarted ledgers hand their pages to the chip's pool, and the
+    // next bookings take them back rather than allocating new ones.
+    Dtu chip(dtu2Config());
+    const Tick start = 0;
+    Tick done = 0;
+    chip.hbm().accessAt(0, 0, 1_MiB);
+    chip.group(0).l2().stripeSeries(&start, 1, 64_KiB, &done);
+    chip.raiseLedgerWatermark(CapacityLedger::kPageTicks / 2);
+    ASSERT_EQ(chip.ledgerPages(), 2u);
+    ASSERT_EQ(chip.ledgerPoolPages(), 0u);
+
+    chip.restartLedgers();
+    EXPECT_EQ(chip.ledgerWatermark(), 0u);
+    EXPECT_EQ(chip.ledgerPages(), 0u);
+    EXPECT_EQ(chip.ledgerPoolPages(), 2u);
+    chip.hbm().accessAt(0, 0, 1_MiB);
+    chip.group(1).l2().stripeSeries(&start, 1, 64_KiB, &done);
+    EXPECT_EQ(chip.ledgerPages(), 2u);
+    EXPECT_EQ(chip.ledgerPoolPages(), 0u);
+}
+
+TEST(Dtu, RaisingTheWatermarkRetiresEveryLedger)
+{
+    // Six ledgers of the chip (a DMA pipe, an L1, the L2's ports and
+    // DMA port, the HBM channels and PCIe) each book in pages 0 and 2.
+    constexpr Tick kPage = CapacityLedger::kPageTicks;
+    Dtu chip(dtu2Config());
+    ProcessingGroup &pg = chip.group(0);
+    auto book_all = [&](Tick at) {
+        pg.dma().pipe().transferAt(at, 4_KiB);
+        pg.l1(0).accessAt(at, 0, 0, 4_KiB);
+        Tick done = 0;
+        pg.l2().stripeSeries(&at, 1, 64_KiB, &done);
+        pg.l2().dmaAccessAt(at, 4_KiB);
+        chip.hbm().accessAt(at, 0, 64_KiB);
+        chip.pcie().transferAt(at, 4_KiB);
+    };
+    book_all(0);
+    book_all(2 * kPage);
+    ASSERT_EQ(chip.ledgerPages(), 12u);
+
+    // A raise within page 0 retires nothing; one into page 1 retires
+    // page 0 of every ledger at once, though none has booked since.
+    chip.raiseLedgerWatermark(kPage / 2);
+    EXPECT_EQ(chip.ledgerPages(), 12u);
+    EXPECT_EQ(chip.ledgerPoolPages(), 0u);
+    chip.raiseLedgerWatermark(kPage + kPage / 2);
+    EXPECT_EQ(chip.ledgerPages(), 6u);
+    EXPECT_EQ(chip.ledgerPoolPages(), 6u);
+
+    // New pages come from the pool.
+    book_all(3 * kPage);
+    EXPECT_EQ(chip.ledgerPages(), 12u);
+    EXPECT_EQ(chip.ledgerPoolPages(), 0u);
+
+    // Past every booking, no page stays live.
+    chip.raiseLedgerWatermark(10 * kPage);
+    EXPECT_EQ(chip.ledgerPages(), 0u);
+    EXPECT_EQ(chip.ledgerPoolPages(), 12u);
+}
+
 TEST(Dtu, WatermarkReachesEveryPipe)
 {
     // Every pipe of the chip books behind the chip's one watermark: a

@@ -48,10 +48,12 @@ struct CapacityLedgerProbe
               unsigned lane = 0)
     {
         std::vector<double> bytes(CapacityLedger::kPageBuckets, 0.0);
-        const auto it = ledger.pages_.find(page_no);
+        const auto it = std::find_if(
+            ledger.pages_.begin(), ledger.pages_.end(),
+            [page_no](const auto &live) { return live.no == page_no; });
         if (it == ledger.pages_.end())
             return bytes;
-        const CapacityLedger::Page &page = it->second;
+        const CapacityLedger::Page &page = *it->page;
         for (std::uint64_t slot = 0; slot < bytes.size(); ++slot) {
             const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
             if (page.saturated[slot / 64] & bit)
@@ -74,15 +76,33 @@ struct CapacityLedgerProbe
         return bytes;
     }
 
-    /** The numbers of the pages @p ledger holds, ascending. */
+    /**
+     * The numbers of the pages @p ledger holds, in the order its table
+     * keeps them, which must be ascending.
+     */
     static std::vector<std::uint64_t>
     pages(const CapacityLedger &ledger)
     {
         std::vector<std::uint64_t> numbers;
-        for (const auto &[page_no, page] : ledger.pages_)
-            numbers.push_back(page_no);
-        std::sort(numbers.begin(), numbers.end());
+        for (const auto &live : ledger.pages_)
+            numbers.push_back(live.no);
         return numbers;
+    }
+
+    /**
+     * Whether every page in @p pool holds no index, and partial lists
+     * with room for at most PagePool::kKeptPartials entries each.
+     */
+    static bool
+    poolTrimmed(const CapacityLedger::PagePool &pool)
+    {
+        constexpr std::size_t kKept = CapacityLedger::PagePool::kKeptPartials;
+        return std::all_of(
+            pool.pages_.begin(), pool.pages_.end(), [](const auto &page) {
+                return page->index.capacity() == 0 &&
+                       page->partialSlots.capacity() <= kKept &&
+                       page->partialUsed.capacity() <= kKept;
+            });
     }
 };
 
@@ -1032,6 +1052,190 @@ TEST(CapacityLedgerProperty, RetirementBehindWatermarkChangesNoBooking)
             EXPECT_LE(link.ledgerPages(), 8u);
             EXPECT_LE(pipe.ledgerPages(), 8u);
             EXPECT_GT(kept.livePages(), 200u);
+        }
+    }
+}
+
+//
+// One page pool shared by ledgers of several lane counts, as a chip's
+// ledgers share theirs. A pooled page may come back to a ledger of
+// another lane count, and the shared ledgers retire eagerly, at each
+// watermark raise, while the ledgers with pools of their own retire at
+// their next booking; neither may change a booking.
+//
+
+TEST(CapacityLedgerProperty, SharedPoolChangesNoBooking)
+{
+    constexpr Tick kBucket = CapacityLedger::kBucketTicks;
+    constexpr Tick kPage = CapacityLedger::kPageTicks;
+    const std::vector<unsigned> lane_counts = {1, 4, 8, 1, 4, 8};
+    for (double gbps : {83.2, 100.0 / 3}) {
+        for (std::uint64_t seed : {6u, 17u}) {
+            SCOPED_TRACE(testing::Message()
+                         << gbps << " GB/s, seed " << seed);
+            const double bps = gbps * 1e9;
+            const double cap = bps * ticksToSeconds(kBucket);
+            const std::size_t n = lane_counts.size();
+            CapacityLedger::PagePool pool;
+            std::vector<CapacityLedger> pooled;
+            std::vector<CapacityLedger> own;
+            std::vector<CapacityLedger> kept;
+            for (unsigned lanes : lane_counts) {
+                pooled.emplace_back(bps, lanes);
+                pooled.back().sharePool(pool);
+                own.emplace_back(bps, lanes);
+                kept.emplace_back(bps, lanes);
+            }
+            // Lane 0 of every pooled and own ledger is also a pipe, whose
+            // wait ticks must match.
+            Tick watermark = 0;
+            std::vector<std::unique_ptr<BandwidthResource>> pooled_pipes;
+            std::vector<std::unique_ptr<BandwidthResource>> own_pipes;
+            for (std::size_t k = 0; k < n; ++k) {
+                pooled_pipes.push_back(std::make_unique<BandwidthResource>(
+                    "prop.pooled", watermark, nullptr, pooled[k], 0u));
+                own_pipes.push_back(std::make_unique<BandwidthResource>(
+                    "prop.own", watermark, nullptr, own[k], 0u));
+            }
+            Random rng(seed);
+            std::array<std::uint64_t, CapacityLedger::kMaxLanes> bytes{};
+            std::array<Tick, CapacityLedger::kMaxLanes> done{};
+            std::array<Tick, CapacityLedger::kMaxLanes> own_done{};
+            std::array<Tick, CapacityLedger::kMaxLanes> kept_done{};
+            std::vector<Tick> starts;
+            std::vector<Tick> series_done;
+            std::vector<Tick> own_series;
+            std::vector<Tick> kept_series;
+            // Ledgers booked in this stretch; the rest stay idle while
+            // the watermark passes them by.
+            std::vector<std::size_t> busy;
+            std::size_t raises = 0;
+            std::size_t max_pooled = 0;
+            for (unsigned i = 0; i < 30'000; ++i) {
+                if (i % 2'000 == 0) {
+                    busy.clear();
+                    for (std::size_t k = 0; k < n; ++k)
+                        if (rng.uniform() < 0.5)
+                            busy.push_back(k);
+                    if (busy.empty())
+                        busy.push_back(rng.below(n));
+                }
+                // A rising watermark, sometimes jumping whole pages. The
+                // pooled ledgers retire at once, as a chip's do; the
+                // others at their next booking.
+                const double step = rng.uniform();
+                const Tick before = watermark;
+                if (step < 0.5)
+                    watermark += rng.below(60 * kBucket);
+                else if (step < 0.502)
+                    watermark += kPage * (1 + rng.below(6));
+                if (watermark / kPage > before / kPage) {
+                    ++raises;
+                    for (CapacityLedger &l : pooled)
+                        l.raiseWatermark(watermark);
+                }
+
+                const std::size_t k = busy[rng.below(busy.size())];
+                const unsigned lanes = lane_counts[k];
+                Tick at = watermark + rng.below(64 * kBucket);
+                const double where = rng.uniform();
+                if (where < 0.1)
+                    at = watermark;
+                else if (where < 0.2)
+                    at += kPage - at % kPage;
+                else if (where < 0.3)
+                    at = watermark + rng.below(2 * kPage);
+                else if (where < 0.35 && watermark)
+                    at = watermark - 1 -
+                         rng.below(std::min(watermark, 2 * kPage));
+                const Tick kept_at = std::max(at, watermark);
+                auto size = [&] {
+                    return rng.uniform() < 0.05
+                               ? std::uint64_t{0}
+                               : 1 + rng.below(static_cast<std::uint64_t>(
+                                         cap * (rng.uniform() < 0.8 ? 1
+                                                                    : 150)));
+                };
+
+                const double kind = rng.uniform();
+                if (kind < 0.4 && lanes > 1) {
+                    // A stripe, some lanes idle.
+                    for (unsigned l = 0; l < lanes; ++l)
+                        bytes[l] = rng.uniform() < 0.2 ? 0 : size();
+                    pooled[k].bookLanes(at, bytes.data(), watermark,
+                                        done.data());
+                    own[k].bookLanes(at, bytes.data(), watermark,
+                                     own_done.data());
+                    kept[k].bookLanes(kept_at, bytes.data(), 0,
+                                      kept_done.data());
+                    for (unsigned l = 0; l < lanes; ++l) {
+                        ASSERT_EQ(done[l], kept_done[l])
+                            << "ledger " << k << " lane " << l << " at "
+                            << at << " bytes " << bytes[l];
+                        ASSERT_EQ(own_done[l], kept_done[l]);
+                    }
+                } else if (kind < 0.6) {
+                    // A series on one lane, from a start that may be late.
+                    const auto lane =
+                        static_cast<unsigned>(rng.below(lanes));
+                    const std::uint64_t b = size();
+                    starts.assign(1, at);
+                    for (std::uint64_t s = rng.below(8); s > 0; --s)
+                        starts.push_back(starts.back() +
+                                         rng.below(3 * kBucket));
+                    series_done.assign(starts.size(), 0);
+                    own_series.assign(starts.size(), 0);
+                    kept_series.assign(starts.size(), 0);
+                    pooled[k].bookSeries(starts.data(), starts.size(), b,
+                                         watermark, series_done.data(),
+                                         lane);
+                    own[k].bookSeries(starts.data(), starts.size(), b,
+                                      watermark, own_series.data(), lane);
+                    for (Tick &s : starts)
+                        s = std::max(s, watermark);
+                    kept[k].bookSeries(starts.data(), starts.size(), b, 0,
+                                       kept_series.data(), lane);
+                    ASSERT_EQ(series_done, kept_series)
+                        << "ledger " << k << " lane " << lane << " at "
+                        << at << " bytes " << b;
+                    ASSERT_EQ(own_series, kept_series);
+                } else {
+                    // One transfer on lane 0, through the pipes.
+                    const std::uint64_t b = size();
+                    const Tick pooled_done =
+                        pooled_pipes[k]->transferAt(at, b);
+                    ASSERT_EQ(pooled_done, own_pipes[k]->transferAt(at, b))
+                        << "ledger " << k << " at " << at << " bytes " << b;
+                    // The pipes add no latency: they complete with the
+                    // ledger, and an empty transfer where it started.
+                    const Tick kept_done_at = kept[k].book(kept_at, b);
+                    ASSERT_EQ(pooled_done, b ? kept_done_at : at);
+                }
+                for (unsigned l = 0; l < lanes; ++l) {
+                    ASSERT_EQ(pooled[k].freeAt(l), kept[k].freeAt(l));
+                    ASSERT_EQ(own[k].freeAt(l), kept[k].freeAt(l));
+                }
+                max_pooled = std::max(max_pooled, pool.pages());
+                if (i % 1'000 == 0)
+                    ASSERT_TRUE(CapacityLedgerProbe::poolTrimmed(pool));
+            }
+            for (std::size_t k = 0; k < n; ++k) {
+                EXPECT_EQ(pooled_pipes[k]->totalWait(),
+                          own_pipes[k]->totalWait())
+                    << "ledger " << k;
+                // Idle or not, no pooled ledger holds a page wholly
+                // below the watermark.
+                const std::vector<std::uint64_t> live =
+                    CapacityLedgerProbe::pages(pooled[k]);
+                EXPECT_TRUE(std::is_sorted(live.begin(), live.end()));
+                if (!live.empty())
+                    EXPECT_GE(live.front(), watermark / kPage)
+                        << "ledger " << k;
+                EXPECT_GT(kept[k].livePages(), pooled[k].livePages());
+            }
+            EXPECT_GT(raises, 50u);
+            EXPECT_GT(max_pooled, 0u);
+            EXPECT_TRUE(CapacityLedgerProbe::poolTrimmed(pool));
         }
     }
 }
